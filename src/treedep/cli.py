@@ -44,12 +44,14 @@ def load_spec(path: str):
     ([i, j, matrix-file] triples, paths relative to the spec file).
     """
     obj = _load_json(path)
-    if "tree" not in obj:
+    if not isinstance(obj, dict) or "tree" not in obj:
         raise InputError(f"{path}: missing 'tree' section")
+    if not isinstance(obj["tree"], dict) or not {"nodes", "edges"} <= obj["tree"].keys():
+        raise InputError(f"{path}: 'tree' needs 'nodes' and 'edges'")
     tree = parse_tree_json(obj["tree"]).tree
     if "matrices" in obj:
         dists = {}
-        for i, j, mpath in obj["matrices"]:
+        for i, j, mpath in _edge_triples(path, obj, "matrices"):
             full = Path(path).parent / mpath
             dists[(int(i), int(j))] = parse_matrix_text(full.read_text())
         return DiscreteTreeSpec(tree, dists)
@@ -57,22 +59,45 @@ def load_spec(path: str):
         raise InputError(f"{path}: need 'marginals' and 'copulas' (or 'matrices')")
     raw_m = obj["marginals"]
     if isinstance(raw_m, dict):
-        marginals = tuple(
-            parse_marginal(raw_m[str(n)]) for n in range(tree.node_count)
-        )
-    else:
-        marginals = tuple(parse_marginal(s) for s in raw_m)
+        missing = [str(n) for n in range(tree.node_count) if str(n) not in raw_m]
+        if missing:
+            raise InputError(f"{path}: no marginal for node {', '.join(missing)}; "
+                             f"every node needs one")
+        raw_m = [raw_m[str(n)] for n in range(tree.node_count)]
+    elif not isinstance(raw_m, list) or len(raw_m) != tree.node_count:
+        raise InputError(f"{path}: 'marginals' needs one entry per node "
+                         f"({tree.node_count} nodes)")
+    if not all(isinstance(s, str) for s in raw_m):
+        raise InputError(f"{path}: marginals are literal strings such as 'normal(0,1)'")
+    marginals = tuple(parse_marginal(s) for s in raw_m)
     copulas = {
-        (int(i), int(j)): parse_copula(lit) for i, j, lit in obj["copulas"]
+        (int(i), int(j)): parse_copula(lit)
+        for i, j, lit in _edge_triples(path, obj, "copulas")
     }
     return sampler.TreeSpec(tree, marginals, copulas)
 
 
+def _edge_triples(path: str, obj: dict, key: str) -> list:
+    entries = obj[key]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, list) and len(e) == 3 and isinstance(e[2], str) for e in entries
+    ):
+        raise InputError(f"{path}: '{key}' must be a list of [i, j, string] triples")
+    return entries
+
+
 def load_query(path: str | None):
+    """Load a query file ``{"path": [...], "k_star": k}``."""
     if path is None:
         return None
     obj = _load_json(path)
-    return TheoremQuery(tuple(int(x) for x in obj["path"]), int(obj["k_star"]))
+    schema = '{"path": [node, ...], "k_star": node}'
+    if not isinstance(obj, dict) or "path" not in obj or "k_star" not in obj:
+        raise InputError(f"{path}: a query needs 'path' and 'k_star', as in {schema}")
+    try:
+        return TheoremQuery(tuple(int(x) for x in obj["path"]), int(obj["k_star"]))
+    except (TypeError, ValueError):
+        raise InputError(f"{path}: a query holds node numbers, as in {schema}") from None
 
 
 def _write_manifest(out: str, command: str, params: dict) -> None:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
-
 
 class CopulaError(ValueError):
     """Raised for invalid copula parameters or arguments."""
@@ -205,23 +203,78 @@ class Gaussian(BivariateCopula):
         return f"gaussian({self.rho!r})"
 
 
-def _binorm_cdf(h, k, rho: float):
-    """Standard bivariate normal CDF at (h, k) with correlation rho.
+# Gauss-Legendre rules of Genz's BVNU: 6, 12 and 20 nodes on [-1, 1]
+_BVN_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (6, 12, 20))
+_TWO_PI = 2.0 * math.pi
+# Exponents are clamped here: exp(-600) < 1e-260 is negligible in a
+# probability, and the clamp keeps exp and the weighted node sums off the
+# slow underflow and subnormal paths.
+_EXP_FLOOR = -600.0
 
-    One-dimensional integral representation with the arcsine substitution,
-    evaluated by 128-point Gauss-Legendre; the integrand is analytic on the
-    whole integration range so the rule converges to machine precision.
+
+def _binorm_cdf(h, k, rho: float):
+    """Standard bivariate normal CDF at (h, k) with correlation rho, |rho| < 1.
+
+    Genz's BVNU (Genz 2004, Stat. Comput. 14:251-260), vectorized over
+    (h, k) for one rho.  For |rho| < 0.925 it integrates the
+    Drezner-Wesolowsky arcsine form over [0, asin(rho)] by Gauss-Legendre
+    with 6, 12 or 20 nodes (|rho| below 0.3, 0.75, 0.925); above that it
+    integrates the asymptotic expansion in sqrt(1 - rho^2) with 20 nodes.
+    The error is at the level of double rounding: on the test points it is
+    within 3e-16 of an adaptive quadrature of the conditional form.
     """
-    theta_hi = math.asin(rho)
-    nodes = 0.5 * theta_hi * (_GL_NODES + 1.0)
-    weights = 0.5 * theta_hi * _GL_WEIGHTS
-    h = np.asarray(h, dtype=float)[..., None]
-    k = np.asarray(k, dtype=float)[..., None]
-    sin_t = np.sin(nodes)
-    cos2_t = np.cos(nodes) ** 2
-    expo = -(h * h + k * k - 2.0 * sin_t * h * k) / (2.0 * cos2_t)
-    integral = np.sum(weights * np.exp(expo), axis=-1)
-    return ndtr(h[..., 0]) * ndtr(k[..., 0]) + integral / (2.0 * math.pi)
+    h, k = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
+    shape = h.shape
+    h, k = h.ravel(), k.ravel()
+    r = abs(rho)
+    x, w = _BVN_RULES[0 if r < 0.3 else 1 if r < 0.75 else 2]
+    # (node, point) tables, updated in place: long inner loops, few buffers
+    if r < 0.925:
+        half = 0.5 * math.asin(rho)
+        sn = np.sin(half * (x[:, None] + 1.0))
+        e = sn * (h * k)
+        e -= 0.5 * (h * h + k * k)
+        e /= 1.0 - sn * sn
+        np.exp(np.maximum(e, _EXP_FLOOR, out=e), out=e)
+        return (ndtr(h) * ndtr(k) + w @ e * (half / _TWO_PI)).reshape(shape)
+
+    # the expansion is written for the upper probability P(X > hh, Y > kk),
+    # with the second variable negated for rho < 0
+    hh, kk = -h, (k if rho < 0 else -k)
+    hk = hh * kk
+    a2 = (1.0 - rho) * (1.0 + rho)
+    a = math.sqrt(a2)
+    bs = (hh - kk) ** 2
+    b = np.sqrt(bs)
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 16.0
+    bvn = a * np.exp(np.maximum(-0.5 * (bs / a2 + hk), _EXP_FLOOR)) * (
+        1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a2 * a2 / 5.0
+    )
+    # exp(-hk/2) overflows where hk < -160, and the term is negligible there
+    tail = np.exp(-0.5 * np.maximum(hk, -160.0)) * math.sqrt(_TWO_PI) * ndtr(-b / a)
+    bvn -= np.where(hk > -160.0, tail * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0), 0.0)
+    xs = (0.5 * a * (x + 1.0)) ** 2
+    rs = np.sqrt(1.0 - xs)
+    # node sum of w (e1 - e2) with e1 = exp(-bs/(2 xs) - hk/(1 + rs)) / rs and
+    # e2 = exp(asr) (1 + c xs + c d xs^2), asr = -(bs/xs + hk)/2; both
+    # exponents are <= 0, and c, d factor out of the sum over nodes
+    asr, e1 = np.empty((2, xs.size, bs.size))
+    np.multiply((-0.5 / xs)[:, None], bs, out=asr)
+    asr -= 0.5 * hk
+    np.multiply((0.5 - 1.0 / (1.0 + rs))[:, None], hk, out=e1)
+    e1 += asr
+    np.exp(np.maximum(e1, _EXP_FLOOR, out=e1), out=e1)
+    np.exp(np.maximum(asr, _EXP_FLOOR, out=asr), out=asr)
+    wx = w * xs
+    total = (w / rs) @ e1 - w @ asr - c * (wx @ asr + d * ((wx * xs) @ asr))
+    bvn = -(bvn + total * (0.5 * a)) / _TWO_PI
+    if rho > 0:
+        out = bvn + ndtr(-np.maximum(hh, kk))
+    else:
+        gap = np.where(hh < 0.0, ndtr(kk) - ndtr(hh), ndtr(-hh) - ndtr(-kk))
+        out = np.where(kk > hh, gap, 0.0) - bvn
+    return out.reshape(shape)
 
 
 _THETA_INDEP_CUTOFF = 1e-6
@@ -353,7 +406,10 @@ def open_grid(size: int) -> np.ndarray:
     return np.arange(1, size + 1, dtype=float) / (size + 1)
 
 
-def numeric_si_check(cop: BivariateCopula, grid_size: int = 129, tol: float = 1e-12) -> bool:
+GRID_TOL = 1e-12
+
+
+def numeric_si_check(cop: BivariateCopula, grid_size: int = 129, tol: float = GRID_TOL) -> bool:
     """Grid test of stochastic increasingness of V in U.
 
     True iff ``h(., v)`` is nonincreasing in u at every grid v.
@@ -363,26 +419,32 @@ def numeric_si_check(cop: BivariateCopula, grid_size: int = 129, tol: float = 1e
     return bool(np.all(np.diff(hv, axis=0) <= tol))
 
 
-def lo_leq(c1: BivariateCopula, c2: BivariateCopula, grid_size: int = 129, tol: float = 1e-12) -> bool:
+def cdf_table(cop: BivariateCopula, grid_size: int) -> np.ndarray:
+    """``cop.cdf`` on the ``open_grid(grid_size)`` product grid, u by rows."""
+    g = open_grid(grid_size)
+    return cop.cdf(g[:, None], g[None, :])
+
+
+def table_lo_leq(t1: np.ndarray, t2: np.ndarray, tol: float = GRID_TOL) -> bool:
+    """Pointwise order of two ``cdf_table`` results on one grid."""
+    return bool(np.all(t1 <= t2 + tol))
+
+
+def table_pqd(table: np.ndarray, tol: float = GRID_TOL) -> bool:
+    """A ``cdf_table`` result dominates the product copula on its grid."""
+    g = open_grid(table.shape[0])
+    return bool(np.all(table >= g[:, None] * g[None, :] - tol))
+
+
+def lo_leq(c1: BivariateCopula, c2: BivariateCopula, grid_size: int = 129,
+           tol: float = GRID_TOL) -> bool:
     """Pointwise (lower orthant) order of two copulas on a grid."""
-    g = open_grid(grid_size)
-    return bool(np.all(c1.cdf(g[:, None], g[None, :]) <= c2.cdf(g[:, None], g[None, :]) + tol))
+    return table_lo_leq(cdf_table(c1, grid_size), cdf_table(c2, grid_size), tol)
 
 
-def pqd_check(cop: BivariateCopula, grid_size: int = 129, tol: float = 1e-12) -> bool:
+def pqd_check(cop: BivariateCopula, grid_size: int = 129, tol: float = GRID_TOL) -> bool:
     """Positive quadrant dependence: cdf dominates the product copula."""
-    g = open_grid(grid_size)
-    return bool(np.all(cop.cdf(g[:, None], g[None, :]) >= g[:, None] * g[None, :] - tol))
-
-
-def dependence_flags(cop: BivariateCopula) -> DependenceFlags:
-    """Analytic SI / CI / TP2 flags of a copula family."""
-    return cop.flags()
-
-
-def kendall_tau(cop: BivariateCopula) -> float:
-    """Closed-form Kendall tau of a copula family."""
-    return cop.kendall_tau()
+    return table_pqd(cdf_table(cop, grid_size), tol)
 
 
 # -- Kendall tau matching -----------------------------------------------------

@@ -500,6 +500,14 @@ def audit_theorem_conditions(
     per_edge: dict[tuple[int, int], EdgeFlags] = {}
     failures: dict[str, list] = {"i": [], "ii": [], "iii": []}
     undecided: list = []
+    # one grid cdf table per distinct copula, kept for this call only: the
+    # Y edge feeds two checks, and X and Y often share edge copulas
+    tables: dict = {}
+
+    def table(cop) -> np.ndarray:
+        if cop not in tables:
+            tables[cop] = cop_mod.cdf_table(cop, grid_size)
+        return tables[cop]
 
     def require(bucket: str, edge, flag_name: str, value) -> None:
         if value is None:
@@ -530,9 +538,9 @@ def audit_theorem_conditions(
             fl.si_child_given_parent_y = _copula_si(cy)
             fl.si_parent_given_child_y = _copula_si(cy.transpose())
             marg_equal = margs_x[i] == margs_y[i] and margs_x[j] == margs_y[j]
-            lo_ok = cop_mod.lo_leq(cx, cy, grid_size)
+            lo_ok = cop_mod.table_lo_leq(table(cx), table(cy))
             fl.smaller_lo = lo_ok if flexible else (marg_equal and lo_ok)
-            fl.psmd_y = cop_mod.pqd_check(cy, grid_size)
+            fl.psmd_y = cop_mod.table_pqd(table(cy))
             fl.mtp2_y = _copula_mtp2(cy)
         per_edge[edge] = fl
 
@@ -575,10 +583,6 @@ def _discrete_node_marginals(spec: DiscreteTreeSpec):
         out.setdefault(i, (biv.row_values, biv.row_marginal()))
         out.setdefault(j, (biv.col_values, biv.col_marginal()))
     return out
-
-
-def _discrete_cdf_points(values, marg):
-    return list(itertools.accumulate(marg))
 
 
 def _audit_marginals(tree, spec_x, spec_y, kind, flex) -> dict[str, object]:

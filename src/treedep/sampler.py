@@ -107,13 +107,20 @@ class SampleBatch:
 
 
 def load_binary(path) -> np.ndarray:
+    """Read a ``to_binary`` dump; the payload must hold exactly n x d floats."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
             raise ValueError("not a sample dump (bad magic)")
-        n, d = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return data.reshape(n, d)
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError("truncated sample dump: incomplete header")
+        n, d = struct.unpack("<QQ", header)
+        payload = fh.read()
+    if len(payload) != 8 * n * d:
+        raise ValueError(f"sample dump of {n} x {d} floats needs a {8 * n * d}-byte "
+                         f"payload, found {len(payload)} bytes")
+    return np.frombuffer(payload, dtype="<f8").reshape(n, d)
 
 
 def _sample_uniform_block(spec: TreeSpec, start: int, count: int, seed: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from treedep.cli import main
 
 CHAIN_TREE = {"nodes": 3, "edges": [[0, 1], [1, 2]]}
@@ -95,6 +97,46 @@ def test_check_parse_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line" in err
     assert main(["check", str(tmp_path / "missing.json"), good]) == 2
+
+
+def test_check_spec_missing_marginal_exit_code(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json",
+                      [[0, 1, "gaussian(0.3)"], [1, 2, "gaussian(0.3)"]],
+                      marginals={"0": "uniform(0,1)", "1": "uniform(0,1)"})
+    assert main(["check", spec, spec]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "no marginal for node 2" in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"tree": {"edges": [[0, 1]]}, "marginals": ["uniform(0,1)"] * 2,
+     "copulas": [[0, 1, "indep"]]},
+    {"tree": CHAIN_TREE, "marginals": ["uniform(0,1)"] * 2, "copulas": []},
+    {"tree": CHAIN_TREE, "marginals": [1, 2, 3], "copulas": []},
+    {"tree": CHAIN_TREE, "marginals": ["uniform(0,1)"] * 3,
+     "copulas": [[0, 1, 0.5], [1, 2, "indep"]]},
+    {"tree": CHAIN_TREE, "marginals": ["uniform(0,1)"] * 3, "copulas": [[0, 1]]},
+])
+def test_check_malformed_spec_exit_code(tmp_path, capsys, spec):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check", str(path), str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+
+
+def test_check_query_without_k_star_exit_code(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json",
+                      [[0, 1, "gaussian(0.3)"], [1, 2, "gaussian(0.3)"]])
+    query = tmp_path / "q.json"
+    query.write_text(json.dumps({"path": [1]}))
+    assert main(["check", spec, spec, "--query", str(query)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "k_star" in err
+    query.write_text(json.dumps({"path": [1, "two"], "k_star": 1}))
+    assert main(["check", spec, spec, "--query", str(query)]) == 2
 
 
 def test_sample_writes_csv_and_manifest(tmp_path, capsys):

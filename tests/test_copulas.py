@@ -63,6 +63,46 @@ def test_gaussian_cdf_against_scipy_integrator():
             assert cop.cdf(u, v) == pytest.approx(want, abs=5e-7)
 
 
+def _binorm_reference(h: float, k: float, rho: float) -> float:
+    """P(X <= h, Y <= k) from the conditional form, by adaptive quadrature.
+
+    Integrates ndtr((k - rho x) / sqrt(1 - rho^2)) phi(x) over x <= h, an
+    independent route from the arcsine form the kernel builds on; the
+    integrand's step at x = k / rho is passed to the integrator.
+    """
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
+    s = math.sqrt(1.0 - rho * rho)
+
+    def integrand(x):
+        return ndtr((k - rho * x) / s) * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+
+    lo = -40.0  # phi is below 1e-340 there
+    step = [k / rho] if lo < k / rho < h else None
+    value, _ = quad(integrand, lo, h, points=step, epsabs=1e-16, epsrel=1e-13, limit=400)
+    return value
+
+
+# one rho per branch of the kernel (6, 12, 20 nodes; high correlation), both signs
+BVN_RHOS = (0.1, -0.1, 0.5, -0.5, 0.8, -0.8, 0.93, -0.93, 0.99, -0.99, 0.999)
+# grid-129 corners and interior points on both sides of both diagonals
+BVN_POINTS = [(1 / 130, 1 / 130), (1 / 130, 129 / 130), (129 / 130, 1 / 130),
+              (129 / 130, 129 / 130), (0.5, 0.5), (0.3, 0.7), (0.3, 0.8), (0.45, 0.6),
+              (0.9, 0.2), (0.8, 0.95), (0.05, 0.06)]
+
+
+@pytest.mark.parametrize("rho", BVN_RHOS)
+def test_gaussian_cdf_against_conditional_quadrature(rho):
+    from scipy.special import ndtri
+
+    u = np.array([p[0] for p in BVN_POINTS])
+    v = np.array([p[1] for p in BVN_POINTS])
+    got = Gaussian(rho).cdf(u, v)
+    want = [_binorm_reference(ndtri(a), ndtri(b), rho) for a, b in BVN_POINTS]
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 @pytest.mark.parametrize("cop", ALL)
 def test_frechet_bounds_and_margins(cop):
     g = open_grid(33)
@@ -148,14 +188,6 @@ def test_h_inv_bisection_agrees_with_closed_form():
     u = rng.uniform(0.05, 0.95, 64)
     p = rng.uniform(0.05, 0.95, 64)
     assert np.max(np.abs(h_inv_bisection(cop, u, p) - cop.h_inv(u, p))) < 1e-9
-
-
-def test_module_level_helpers():
-    from treedep.copulas import dependence_flags, kendall_tau
-
-    g = Gaussian(0.4)
-    assert dependence_flags(g) == g.flags()
-    assert kendall_tau(g) == g.kendall_tau()
 
 
 def test_dependence_flags():

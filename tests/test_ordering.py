@@ -446,6 +446,33 @@ def test_audit_copula_pass_and_self():
     assert blob["verdict"] is True and "0-1" in blob["per_edge"]
 
 
+def test_audit_computes_each_copula_table_once_per_call(monkeypatch):
+    import collections
+
+    from treedep import copulas, hmm
+
+    calls = collections.Counter()
+    for cls in (copulas.Gaussian, copulas.Independence, copulas.Clayton):
+        def counted(self, u, v, _cdf=cls.cdf):
+            calls[self] += 1
+            return _cdf(self, u, v)
+
+        monkeypatch.setattr(cls, "cdf", counted)
+    # the hidden chain and the first observation copula are shared by X and Y
+    spec_x = hmm.build_spec(4, "gaussian", [1.0, 2.0, 0.5, 3.0])
+    spec_y = hmm.build_spec(4, "gaussian", [1.0, 1.5, 0.25, 2.0])
+    distinct = set(spec_x.copulas.values()) | set(spec_y.copulas.values())
+    assert len(distinct) < 2 * len(spec_x.copulas)
+
+    first = audit_theorem_conditions(spec_x, spec_y, grid_size=17)
+    assert set(calls) == distinct
+    assert set(calls.values()) == {1}
+    # no table outlives the call: a second audit evaluates every one again
+    second = audit_theorem_conditions(spec_x, spec_y, grid_size=17)
+    assert set(calls.values()) == {2}
+    assert first.to_json() == second.to_json()
+
+
 def test_single_edge_imposes_no_si_hypothesis():
     # with one edge, the child is k*, on the path and a leaf at once, so
     # only the pointwise comparison (iii) is required

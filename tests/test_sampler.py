@@ -164,6 +164,25 @@ def test_csv_and_binary_round_trip(tmp_path):
         load_binary(csv_path)
 
 
+def test_load_binary_rejects_wrong_payload_length(tmp_path):
+    batch = sample(uniform_chain(0.3), 10, seed=4)
+    path = tmp_path / "batch.bin"
+    batch.to_binary(path)
+    raw = path.read_bytes()
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(raw[:-16])
+    with pytest.raises(ValueError, match="needs a 240-byte payload, found 224 bytes"):
+        load_binary(truncated)
+    trailing = tmp_path / "trailing.bin"
+    trailing.write_bytes(raw + b"\0" * 8)
+    with pytest.raises(ValueError, match="needs a 240-byte payload, found 248 bytes"):
+        load_binary(trailing)
+    header_only = tmp_path / "header_only.bin"
+    header_only.write_bytes(raw[:12])
+    with pytest.raises(ValueError, match="incomplete header"):
+        load_binary(header_only)
+
+
 def test_sample_argument_validation():
     spec = uniform_chain(0.3)
     with pytest.raises(ValueError):
