@@ -1,6 +1,8 @@
 """Command-line front end: counterexample gallery, audits, sampling, bands.
 
-Exit codes: 0 success, 1 a check failed, 2 malformed input.
+Exit codes: 0 success, 1 a check failed, 2 malformed input or a numerical
+failure (a conditional inverse or the exact simplex gave up); every exit 2
+prints a one-line ``error:`` message.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, counterexamples, hmm, ordering, sampler
-from .copulas import parse_copula
+from .copulas import HInversionError, parse_copula
 from .discrete import DiscreteTreeSpec, parse_matrix_text
 from .marginals import parse_marginal
+from .simplex import SimplexError
 from .trees import TheoremQuery, parse_tree_json
 
 EXIT_OK = 0
@@ -233,10 +236,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, HInversionError, SimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

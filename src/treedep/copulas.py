@@ -158,12 +158,14 @@ class Gaussian(BivariateCopula):
             return np.minimum(u, v)
         if self.rho == -1.0:
             return np.maximum(u + v - 1.0, 0.0)
+        # normal scores before broadcasting: n + m ndtri calls on an n x m grid
+        zu, zv = np.broadcast_arrays(ndtri(u), ndtri(v))
         u, v = np.broadcast_arrays(u, v)
         # min(u, v) already carries every boundary case (u or v in {0, 1})
         out = np.array(np.minimum(u, v), dtype=float)
         interior = (u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0)
         if np.any(interior):
-            out[interior] = _binorm_cdf(ndtri(u[interior]), ndtri(v[interior]), self.rho)
+            out[interior] = _binorm_cdf(zu[interior], zv[interior], self.rho)
         return np.clip(out, 0.0, 1.0)
 
     def h(self, u, v):

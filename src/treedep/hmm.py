@@ -10,7 +10,6 @@ forms a distributional-robustness band.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,7 +20,6 @@ from .copulas import (
     Clayton,
     Comonotone,
     Gaussian,
-    HInversionError,
     Independence,
     SurvivalClayton,
     lo_leq,
@@ -29,7 +27,8 @@ from .copulas import (
     theta_from_rho,
 )
 from .marginals import Dirac, Marginal, Normal
-from .sampler import TreeSpec, counter_uniforms
+from .sampler import TreeSpec, propagate, run_chunks
+from .sampler import counter_uniforms  # unused; kept because perfbench/test_perfbench.py wraps hmm.counter_uniforms
 from .trees import make_hmm_tree
 
 FAMILIES = ("gaussian", "clayton", "sclayton", "none")
@@ -76,46 +75,6 @@ def observation_copula(family: str, n: int, sigma_n: float) -> BivariateCopula:
         return Gaussian(rho)
     theta = theta_from_rho(rho)
     return Clayton(theta) if family == "clayton" else SurvivalClayton(theta)
-
-
-@dataclass(frozen=True)
-class PerturbedWalkSpec:
-    """Walk horizon, error family and per-step noise with its bound.
-
-    ``sigma[k-1]`` is the step-k noise level, constrained to
-    ``[0, sigma_bar[k-1]]``; the two extreme scenarios (no noise, noise at
-    the bound) generate the robustness band.
-    """
-
-    d: int
-    family: str
-    sigma: tuple[float, ...]
-    sigma_bar: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise WalkError("need at least one step")
-        if self.family not in FAMILIES:
-            raise WalkError(f"unknown family {self.family!r}")
-        if len(self.sigma) != self.d or len(self.sigma_bar) != self.d:
-            raise WalkError(f"schedules must have length {self.d}")
-        for s, bound in zip(self.sigma, self.sigma_bar):
-            if not 0 <= s <= bound:
-                raise WalkError("sigma must lie in [0, sigma_bar] per step")
-
-    @classmethod
-    def at_bound(cls, d: int, family: str, sigma_bar: Sequence[float]):
-        bar = tuple(float(v) for v in sigma_bar)
-        return cls(d, family, bar, bar)
-
-    def rho(self, n: int) -> float:
-        return walk_rho(n, self.sigma[n - 1])
-
-    def build(self) -> TreeSpec:
-        return build_spec(self.d, self.family, self.sigma)
-
-    def noise_free(self) -> "PerturbedWalkSpec":
-        return PerturbedWalkSpec(self.d, self.family, (0.0,) * self.d, self.sigma_bar)
 
 
 def build_spec(d: int, family: str, sigma_schedule: Sequence[float]) -> TreeSpec:
@@ -165,43 +124,25 @@ def _walk_steps(spec: TreeSpec) -> int:
     return d
 
 
-def _max_block(spec: TreeSpec, d: int, start: int, count: int, seed: int) -> np.ndarray:
-    """Running max of the observation columns for a row range.
-
-    Streams the hidden chain so memory stays O(count); uses exactly the
-    node-keyed uniforms the generic sampler would, so results agree with
-    sampling the full matrix.
-    """
-    running = np.zeros(count)  # the anchor observation at step 0 is 0
-    u_hidden = counter_uniforms(seed, 0, start, count)
-    for k in range(1, d + 1):
-        try:
-            p_h = counter_uniforms(seed, 2 * k, start, count)
-            u_hidden = spec.copulas[(2 * k - 2, 2 * k)].h_inv(u_hidden, p_h)
-            p_o = counter_uniforms(seed, 2 * k + 1, start, count)
-            u_obs = spec.copulas[(2 * k, 2 * k + 1)].h_inv(u_hidden, p_o)
-        except HInversionError as exc:
-            raise HInversionError(
-                f"conditional inverse failed at walk step {k}: {exc}"
-            ) from exc
-        x_obs = spec.marginals[2 * k + 1].quantile(u_obs)
-        np.maximum(running, x_obs, out=running)
-    return running
-
-
 def simulate_max(spec: TreeSpec, n_samples: int, seed: int,
                  workers: int = 1) -> np.ndarray:
-    """Samples of max{0, observations} under a walk-with-observations spec."""
+    """Samples of max{0, observations} under a walk-with-observations spec.
+
+    Streams the tree kernel that ``sample`` uses, so memory stays O(n) and
+    the result equals the maximum over the odd columns of a full sample.
+    """
     if n_samples < 1:
         raise WalkError("need at least one sample")
-    d = _walk_steps(spec)
-    bounds = np.linspace(0, n_samples, min(workers, n_samples) + 1).astype(int)
-    chunks = [(int(a), int(b - a)) for a, b in zip(bounds, bounds[1:]) if b > a]
-    if len(chunks) == 1:
-        return _max_block(spec, d, 0, n_samples, seed)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda c: _max_block(spec, d, c[0], c[1], seed), chunks))
-    return np.concatenate(parts)
+    _walk_steps(spec)
+
+    def block(start: int, count: int) -> np.ndarray:
+        running = np.zeros(count)
+        for node, u in propagate(spec, seed, start, count):
+            if node % 2:  # observations; node 1 is the Dirac(0) anchor
+                np.maximum(running, spec.marginals[node].quantile(u), out=running)
+        return running
+
+    return np.concatenate(run_chunks(n_samples, workers, block))
 
 
 def ecdf_on_grid(samples: np.ndarray, t_grid: np.ndarray) -> np.ndarray:

@@ -14,10 +14,11 @@ root states, say) should carry independence copulas on the affected edges.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -123,44 +124,63 @@ def load_binary(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(n, d)
 
 
-def _sample_uniform_block(spec: TreeSpec, start: int, count: int, seed: int) -> np.ndarray:
-    """Copula-scale samples (uniform margins) for a row range."""
+def propagate(spec: TreeSpec, seed: int, start: int, count: int):
+    """Yield ``(node, u)`` in level order: each node's copula-scale column.
+
+    The root takes its counter uniforms as they are; every other node inverts
+    its edge copula's conditional CDF at the parent's column.  A parent's
+    column is dropped after its last child is drawn, so a chain holds about
+    two columns at a time.  Callers must not modify the yielded arrays.
+    """
     tree = spec.tree
-    u = np.empty((count, tree.node_count), dtype=np.float64)
     order = tree.level_order()
-    u[:, 0] = counter_uniforms(seed, 0, start, count)
-    for node in order[1:]:
+    last_child = {tree.parent(node): node for node in order[1:]}
+    live: dict[int, np.ndarray] = {}
+    for node in order:
+        u = counter_uniforms(seed, node, start, count)
         parent = tree.parent(node)
-        p = counter_uniforms(seed, node, start, count)
-        cop = spec.copulas[(parent, node)]
-        try:
-            u[:, node] = cop.h_inv(u[:, parent], p)
-        except HInversionError as exc:
-            raise HInversionError(
-                f"conditional inverse failed on edge ({parent},{node}): {exc}"
-            ) from exc
-    return u
+        if parent is not None:
+            try:
+                u = spec.copulas[(parent, node)].h_inv(live[parent], u)
+            except HInversionError as exc:
+                raise HInversionError(
+                    f"conditional inverse failed on edge ({parent},{node}): {exc}"
+                ) from exc
+            if last_child[parent] == node:
+                del live[parent]
+        if node in last_child:
+            live[node] = u
+        yield node, u
+
+
+def run_chunks(n: int, workers: int, block: Callable[[int, int], object]) -> list:
+    """``block(start, count)`` over a split of rows ``0..n-1``, in row order.
+
+    The rows are split into ``min(workers, n)`` chunks, run on at most
+    ``os.cpu_count()`` threads.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    bounds = np.linspace(0, n, min(workers, n) + 1).astype(int)
+    chunks = [(int(a), int(b - a)) for a, b in zip(bounds, bounds[1:]) if b > a]
+    if len(chunks) == 1:
+        return [block(*chunks[0])]
+    with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+        return list(pool.map(lambda c: block(*c), chunks))
 
 
 def sample(spec: TreeSpec, n: int, seed: int, workers: int = 1) -> SampleBatch:
     """Draw ``n`` joint samples; identical output for any worker count."""
     if n < 1:
         raise ValueError("need at least one sample")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    bounds = np.linspace(0, n, min(workers, n) + 1).astype(int)
-    chunks = [(int(a), int(b - a)) for a, b in zip(bounds, bounds[1:]) if b > a]
-    if len(chunks) == 1:
-        u = _sample_uniform_block(spec, 0, n, seed)
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(lambda c: _sample_uniform_block(spec, c[0], c[1], seed), chunks)
-            )
-        u = np.vstack(parts)
-    data = np.empty_like(u)
-    for node in range(spec.tree.node_count):
-        data[:, node] = spec.marginals[node].quantile(u[:, node])
+    data = np.empty((n, spec.tree.node_count), dtype=np.float64)
+
+    def block(start: int, count: int) -> None:
+        rows = data[start:start + count]
+        for node, u in propagate(spec, seed, start, count):
+            rows[:, node] = spec.marginals[node].quantile(u)
+
+    run_chunks(n, workers, block)
     return SampleBatch(data, seed, spec.fingerprint())
 
 

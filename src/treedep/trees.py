@@ -90,15 +90,6 @@ class DirectedTree:
             stack.extend(self._children[c])
         return frozenset(out)
 
-    def ancestors(self, i: int) -> frozenset[int]:
-        """All nodes on the path from the root to ``i``, excluding ``i``."""
-        self._check(i)
-        out: set[int] = set()
-        while i != 0:
-            i = self._parent[i]
-            out.add(i)
-        return frozenset(out)
-
     def degree(self, i: int) -> int:
         self._check(i)
         return len(self._children[i]) + (0 if i == 0 else 1)
@@ -144,14 +135,6 @@ class DirectedTree:
     def path_inclusive(self, i: int, j: int) -> list[int]:
         """The closed path ``[i, ..., j]`` including both endpoints."""
         return [i] + self.path_between(i, j) + [j]
-
-    def path_from(self, i: int, j: int) -> list[int]:
-        """Half-open path including the start ``i`` but not the end ``j``."""
-        return [i] + self.path_between(i, j)
-
-    def path_to(self, i: int, j: int) -> list[int]:
-        """Half-open path including the end ``j`` but not the start ``i``."""
-        return self.path_between(i, j) + [j]
 
     def separates(self, i: int, a_set: Iterable[int], b_set: Iterable[int]) -> bool:
         """True iff every inclusive path between ``a_set`` and ``b_set`` contains ``i``."""

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from treedep.cli import main
+from treedep.copulas import Gaussian, HInversionError
 
 CHAIN_TREE = {"nodes": 3, "edges": [[0, 1], [1, 2]]}
 
@@ -190,3 +191,33 @@ def test_band_rejects_bad_schedule(tmp_path):
     code = main(["band", "--sigma", "exp:2", "--steps", "5",
                  "--samples", "10", "--out", str(tmp_path / "b.csv")])
     assert code == 2
+
+
+def test_band_rejects_zero_workers(tmp_path, capsys):
+    code = main(["band", "--steps", "3", "--samples", "50", "--workers", "0",
+                 "--out", str(tmp_path / "b.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "workers" in err
+
+
+def _failing_h_inv(self, u, p):
+    raise HInversionError("bisection did not converge")
+
+
+def test_h_inversion_failure_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Gaussian, "h_inv", _failing_h_inv)
+    code = main(["band", "--steps", "3", "--samples", "50",
+                 "--out", str(tmp_path / "b.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "edge (2,3)" in err
+    spec = write_spec(tmp_path / "spec.json",
+                      [[0, 1, "gaussian(0.5)"], [1, 2, "clayton(2.0)"]])
+    code = main(["sample", spec, "--samples", "10", "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "edge (0,1)" in err

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from treedep.hmm import (
     walk_rho,
 )
 from treedep.marginals import Dirac, Normal
-from treedep.sampler import sample
+from treedep.sampler import propagate, sample
 
 N = 20_000
 D = 40
@@ -68,21 +69,6 @@ def test_build_spec_families_and_theta_anchor():
     assert isinstance(spec_s.copulas[(18, 19)], SurvivalClayton)
 
 
-def test_perturbed_walk_spec_type():
-    from treedep.hmm import PerturbedWalkSpec
-
-    walk = PerturbedWalkSpec.at_bound(3, "clayton", const_schedule(2.0, 3))
-    assert walk.rho(2) == pytest.approx(math.sqrt(2 / 4))
-    assert walk.build().tree.node_count == 8
-    quiet = walk.noise_free()
-    assert quiet.sigma == (0.0, 0.0, 0.0)
-    assert isinstance(quiet.build().copulas[(2, 3)], Comonotone)
-    with pytest.raises(WalkError):
-        PerturbedWalkSpec(3, "clayton", (3.0, 0.0, 0.0), (2.0, 2.0, 2.0))
-    with pytest.raises(WalkError):
-        PerturbedWalkSpec(2, "clayton", (0.0,), (0.0,))
-
-
 def test_build_spec_validation():
     with pytest.raises(WalkError):
         build_spec(0, "gaussian", np.array([]))
@@ -120,6 +106,18 @@ def test_streaming_workers_deterministic():
     a = simulate_max(spec, 5000, seed=5, workers=1)
     b = simulate_max(spec, 5000, seed=5, workers=8)
     assert np.array_equal(a, b)
+    # chunks of unequal size, and more workers than rows
+    assert np.array_equal(a[:7], simulate_max(spec, 7, seed=5, workers=3))
+    assert np.array_equal(a[:3], simulate_max(spec, 3, seed=5, workers=8))
+
+
+def test_kernel_keeps_few_walk_columns_alive():
+    spec = build_spec(20, "gaussian", const_schedule(1.0, 20))
+    refs = []
+    for node, u in propagate(spec, 2, 0, 100):
+        refs.append(weakref.ref(u))
+        del u
+        assert sum(r() is not None for r in refs) <= 2, node
 
 
 def test_simulate_max_rejects_non_walk_specs():
@@ -132,6 +130,8 @@ def test_simulate_max_rejects_non_walk_specs():
         simulate_max(bad, 100, seed=1)
     with pytest.raises(WalkError):
         simulate_max(build_spec(2, "gaussian", const_schedule(1.0, 2)), 0, seed=1)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        simulate_max(build_spec(2, "gaussian", const_schedule(1.0, 2)), 5, seed=1, workers=0)
 
 
 def test_walk_moments():

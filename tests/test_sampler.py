@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.stats import kendalltau
@@ -11,9 +13,11 @@ from treedep.sampler import (
     empirical_edge_copula_check,
     ks_statistic,
     load_binary,
+    propagate,
+    run_chunks,
     sample,
 )
-from treedep.trees import TreeError, make_chain, make_star
+from treedep.trees import DirectedTree, TreeError, make_chain, make_star
 
 N = 40_000
 BOUND = 3.0 / np.sqrt(N)
@@ -56,6 +60,40 @@ def test_determinism_and_workers():
     assert np.array_equal(a.data, b.data)
     c = sample(spec, 5000, seed=10)
     assert not np.array_equal(a.data, c.data)
+    # chunks of unequal size, and more workers than rows
+    assert np.array_equal(a.data[:7], sample(spec, 7, seed=9, workers=3).data)
+    assert np.array_equal(a.data[:3], sample(spec, 3, seed=9, workers=8).data)
+
+
+def test_propagate_visits_every_node_once_in_level_order():
+    tree = DirectedTree(6, [(0, 3), (3, 1), (0, 4), (4, 2), (4, 5)])
+    spec = TreeSpec(tree, (Uniform(0, 1),) * 6,
+                    {e: Gaussian(0.5) for e in tree.edges})
+    visited = [node for node, _ in propagate(spec, 3, 0, 10)]
+    assert visited == list(tree.level_order()) == [0, 3, 4, 1, 2, 5]
+    columns = dict(propagate(spec, 3, 2, 5))
+    assert np.array_equal(sample(spec, 7, seed=3).data[2:], np.column_stack(
+        [columns[node] for node in range(6)]))
+
+
+def test_run_chunks_caps_threads_at_core_count(monkeypatch):
+    import treedep.sampler as sampler_mod
+
+    seen = []
+    real = sampler_mod.ThreadPoolExecutor
+
+    def spy(max_workers):
+        seen.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(sampler_mod, "ThreadPoolExecutor", spy)
+    parts = run_chunks(1000, 64, lambda start, count: (start, count))
+    assert seen and all(m <= (os.cpu_count() or 1) for m in seen)
+    assert len(parts) == 64 and parts[0][0] == 0
+    assert all(a + n == b for (a, n), (b, _) in zip(parts, parts[1:]))
+    assert sum(n for _, n in parts) == 1000
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_chunks(10, 0, lambda start, count: None)
 
 
 def test_independence_product_law():

@@ -67,8 +67,6 @@ def test_path_between(branchy):
 def test_path_endpoint_variants():
     chain = make_chain(3)
     assert chain.path_inclusive(0, 3) == [0, 1, 2, 3]
-    assert chain.path_from(0, 3) == [0, 1, 2]
-    assert chain.path_to(0, 3) == [1, 2, 3]
 
 
 def test_separates(branchy):
