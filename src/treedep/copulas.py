@@ -471,18 +471,6 @@ def theta_from_rho(rho: float) -> float:
     return theta_from_tau(gaussian_tau(rho))
 
 
-def tau_odds(rho: float) -> float:
-    """Odds tau/(1-tau) of the Gaussian Kendall tau; half of theta_from_rho.
-
-    Exposed separately because this ratio is sometimes quoted as a Clayton
-    parameter transform; tau-matching requires twice this value.
-    """
-    tau = gaussian_tau(rho)
-    if tau >= 1.0:
-        raise CopulaError("rho = 1 corresponds to an unbounded ratio")
-    return tau / (1.0 - tau)
-
-
 # -- literal syntax -----------------------------------------------------------
 
 _LITERAL = re.compile(r"^\s*([a-z]+)\s*(?:\(\s*([^()]*)\s*\))?\s*$")

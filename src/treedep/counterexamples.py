@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as F
 
 from . import ordering
-from .discrete import (
-    DiscreteBivariate,
-    block_uniform_joint,
-    comonotone_chain_extension,
-    markov_joint,
-)
+from .discrete import DiscreteBivariate, block_uniform_joint, markov_joint
 from .marginals import Dirac, Uniform, range_closure_equal
 from .trees import make_chain, make_star
 
@@ -110,13 +105,29 @@ def star4_block() -> BlockReport:
     return BlockReport("star4", ok, lines)
 
 
+def _chain_extension_laws(a01: DiscreteBivariate, a02: DiscreteBivariate,
+                          total_nodes: int) -> dict:
+    """Chain edge laws for (X1, X0, ..., X0, X2) from the star edges 0-1, 0-2."""
+    center = a01.row_marginal()
+    k = len(center)
+    diagonal = DiscreteBivariate(
+        tuple(tuple(center[r] if r == c else F(0) for c in range(k)) for r in range(k)),
+        a01.row_values, a01.row_values,
+    )
+    laws = [a01.transpose()] + [diagonal] * (total_nodes - 3) + [a02]
+    return {(n, n + 1): law for n, law in enumerate(laws)}
+
+
 def chain_extension_block(total_nodes: int = 5) -> BlockReport:
-    """Star counterexample stretched into a chain by repeating the center."""
-    tree = make_star(2)
-    jx = markov_joint(tree, {(0, 1): STAR4_A01, (0, 2): STAR4_A02})
-    jy = markov_joint(tree, {(0, 1): STAR4_B01, (0, 2): STAR4_B02})
-    ex = comonotone_chain_extension(jx, total_nodes)
-    ey = comonotone_chain_extension(jy, total_nodes)
+    """Star counterexample stretched into the chain (X1, X0, ..., X0, X2).
+
+    Interior edges carry X0's law on the diagonal, so the center repeats
+    comonotonically and every orthant probability with matching
+    thresholds is the star's.
+    """
+    tree = make_chain(total_nodes - 1)
+    ex = markov_joint(tree, _chain_extension_laws(STAR4_A01, STAR4_A02, total_nodes))
+    ey = markov_joint(tree, _chain_extension_laws(STAR4_B01, STAR4_B02, total_nodes))
     thresholds = (2,) * total_nodes
     px = ex.orthant_prob(thresholds)
     py = ey.orthant_prob(thresholds)

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .trees import DirectedTree, TreeError
-
-Rational = Fraction
+from .trees import DirectedTree
 
 
 class DiscreteError(ValueError):
@@ -232,68 +230,39 @@ def markov_joint(
     """The unique tree-factorized joint realizing the given edge laws.
 
     Mass factorizes as the root marginal times one conditional per edge.
-    Requires every tree edge to carry a bivariate law whose implied
-    univariate marginals agree exactly wherever two edges share a node.
+    The edge laws must form a :class:`DiscreteTreeSpec`: every tree edge
+    carries a bivariate law, and edges sharing a node imply the same
+    support and marginal there.
     """
-    if tree.node_count < 2:
-        raise DiscreteError("need at least one edge")
-    if set(edge_dists) != set(tree.edges):
-        raise DiscreteError("edge laws must cover exactly the tree edges")
-
-    supports: list[tuple | None] = [None] * tree.node_count
-    marginals: list[tuple[Fraction, ...] | None] = [None] * tree.node_count
-
-    def install(node: int, values, marg, edge):
-        if supports[node] is None:
-            supports[node] = tuple(values)
-            marginals[node] = tuple(marg)
-        elif supports[node] != tuple(values) or marginals[node] != tuple(marg):
-            raise DiscreteError(
-                f"edge {edge} implies a marginal at node {node} inconsistent "
-                "with another edge"
-            )
-
-    for (i, j), biv in edge_dists.items():
-        install(i, biv.row_values, biv.row_marginal(), (i, j))
-        install(j, biv.col_values, biv.col_marginal(), (i, j))
-
-    if any(any(w == 0 for w in m) for m in marginals if m is not None):
+    spec = DiscreteTreeSpec(tree, edge_dists)
+    laws = spec.node_laws
+    if any(w == 0 for _, marg in laws for w in marg):
         warnings.warn(
             "some support values carry zero mass; conditionals there are "
             "fixed only up to null sets",
             stacklevel=2,
         )
 
-    # expand root-to-leaves, keeping only positive-mass assignments
-    order = tree.level_order()
-    root_marg = marginals[0]
+    # expand root-to-leaves over node-ordered index tuples (unplaced nodes
+    # hold 0), keeping only positive-mass assignments
+    rest = (0,) * (tree.node_count - 1)
     partial: dict[tuple[int, ...], Fraction] = {
-        (k,): w for k, w in enumerate(root_marg) if w > 0
+        (k,) + rest: w for k, w in enumerate(laws[0][1]) if w > 0
     }
-    placed = [0]
-    for node in order[1:]:
+    for node in tree.level_order()[1:]:
         parent = tree.parent(node)
         biv = edge_dists[(parent, node)]
-        parent_pos = placed.index(parent)
-        parent_marg = marginals[parent]
+        parent_marg = laws[parent][1]
         new_partial: dict[tuple[int, ...], Fraction] = {}
         for idx, w in partial.items():
-            pi = idx[parent_pos]
+            pi = idx[parent]
             denom = parent_marg[pi]
-            for ci in range(len(biv.col_values)):
-                m = biv.weights[pi][ci]
+            head, tail = idx[:node], idx[node + 1:]
+            for ci, m in enumerate(biv.weights[pi]):
                 if m > 0:
-                    new_partial[idx + (ci,)] = w * m / denom
+                    new_partial[head + (ci,) + tail] = w * m / denom
         partial = new_partial
-        placed.append(node)
-
-    # reorder index tuples from traversal order to node order
-    position = {node: pos for pos, node in enumerate(placed)}
-    mass = {
-        tuple(idx[position[n]] for n in range(tree.node_count)): w
-        for idx, w in partial.items()
-    }
-    return DiscreteJoint(tuple(supports), mass)
+    return DiscreteJoint(tuple(values for values, _ in laws), partial)
 
 
 @dataclass(frozen=True)
@@ -352,36 +321,40 @@ def block_uniform_joint(
     return BlockUniformJoint(joint, width)
 
 
-def comonotone_chain_extension(joint: DiscreteJoint, total_nodes: int) -> DiscreteJoint:
-    """Stretch a 3-node joint (root 0, leaves 1 and 2) into a chain.
-
-    The chain reads (X1, X0, X0, ..., X0, X2): the root variable is repeated
-    comonotonically along the interior, which preserves every orthant
-    probability with matching thresholds.
-    """
-    if joint.dims != 3:
-        raise DiscreteError("expects a joint on exactly 3 nodes")
-    if total_nodes < 3:
-        raise DiscreteError("chain needs at least 3 nodes")
-    reps = total_nodes - 2
-    mass: dict[tuple[int, ...], Fraction] = {}
-    for (i0, i1, i2), w in joint.mass.items():
-        key = (i1,) + (i0,) * reps + (i2,)
-        mass[key] = mass.get(key, Fraction(0)) + w
-    supports = (joint.supports[1],) + (joint.supports[0],) * reps + (joint.supports[2],)
-    return DiscreteJoint(supports, mass)
-
-
 @dataclass(frozen=True)
 class DiscreteTreeSpec:
-    """A tree together with one exact bivariate law per edge."""
+    """A tree together with one exact bivariate law per edge.
+
+    Edges that meet at a node must imply the same support and marginal
+    there; ``node_laws[n]`` holds that ``(values, masses)`` pair.
+    """
 
     tree: DirectedTree
     edge_dists: Mapping[tuple[int, int], DiscreteBivariate]
+    node_laws: tuple[tuple[tuple, tuple[Fraction, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        if self.tree.node_count < 2:
+            raise DiscreteError("need at least one edge")
         if set(self.edge_dists) != set(self.tree.edges):
-            raise TreeError("edge laws must cover exactly the tree edges")
+            raise DiscreteError("edge laws must cover exactly the tree edges")
+        laws: list = [None] * self.tree.node_count
+
+        def install(node: int, values, marg, edge):
+            if laws[node] is None:
+                laws[node] = (tuple(values), tuple(marg))
+            elif laws[node] != (tuple(values), tuple(marg)):
+                raise DiscreteError(
+                    f"edge {edge} implies a marginal at node {node} inconsistent "
+                    "with another edge"
+                )
+
+        for (i, j), biv in self.edge_dists.items():
+            install(i, biv.row_values, biv.row_marginal(), (i, j))
+            install(j, biv.col_values, biv.col_marginal(), (i, j))
+        object.__setattr__(self, "node_laws", tuple(laws))
 
     def realize(self) -> DiscreteJoint:
         return markov_joint(self.tree, self.edge_dists)

@@ -53,8 +53,8 @@ class Marginal:
     def mean(self) -> float:
         raise NotImplementedError
 
-    def stop_loss(self, k: float) -> float:
-        """E (X - k)_+, the stop-loss transform at retention ``k``."""
+    def stop_loss(self, k):
+        """E (X - k)_+, the stop-loss transform at retention(s) ``k``."""
         raise NotImplementedError
 
     def range_closure(self) -> RangeClosure:
@@ -104,11 +104,12 @@ class Normal(Marginal):
     def mean(self) -> float:
         return self.mu
 
-    def stop_loss(self, k: float) -> float:
+    def stop_loss(self, k):
+        k = np.asarray(k, dtype=float)
         if self.var == 0:
-            return max(self.mu - k, 0.0)
+            return np.maximum(self.mu - k, 0.0)
         z = (self.mu - k) / self.sigma
-        return float((self.mu - k) * ndtr(z) + self.sigma * _phi(z))
+        return (self.mu - k) * ndtr(z) + self.sigma * _phi(z)
 
     def range_closure(self) -> RangeClosure:
         if self.var == 0:
@@ -140,12 +141,10 @@ class Uniform(Marginal):
     def mean(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def stop_loss(self, k: float) -> float:
-        if k <= self.a:
-            return self.mean() - k
-        if k >= self.b:
-            return 0.0
-        return 0.5 * (self.b - k) ** 2 / (self.b - self.a)
+    def stop_loss(self, k):
+        k = np.asarray(k, dtype=float)
+        inside = 0.5 * (self.b - k) ** 2 / (self.b - self.a)
+        return np.where(k <= self.a, self.mean() - k, np.where(k >= self.b, 0.0, inside))
 
     def range_closure(self) -> RangeClosure:
         return RangeClosure("interval01")
@@ -180,8 +179,8 @@ class DiscreteUniform(Marginal):
     def mean(self) -> float:
         return float(np.mean(self.values))
 
-    def stop_loss(self, k: float) -> float:
-        return float(np.mean(np.maximum(np.asarray(self.values) - k, 0.0)))
+    def stop_loss(self, k):
+        return _mean_excess(self.values, k)
 
     def range_closure(self) -> RangeClosure:
         k = len(self.values)
@@ -206,8 +205,8 @@ class Dirac(Marginal):
     def mean(self) -> float:
         return self.point
 
-    def stop_loss(self, k: float) -> float:
-        return max(self.point - k, 0.0)
+    def stop_loss(self, k):
+        return np.maximum(self.point - np.asarray(k, dtype=float), 0.0)
 
     def range_closure(self) -> RangeClosure:
         return RangeClosure("finite", frozenset({Fraction(0), Fraction(1)}))
@@ -237,11 +236,11 @@ class RectifiedNormal(Marginal):
     def mean(self) -> float:
         return self.sigma / _SQRT2PI
 
-    def stop_loss(self, k: float) -> float:
-        if k < 0:
-            return self.mean() - k
+    def stop_loss(self, k):
+        k = np.asarray(k, dtype=float)
         z = k / self.sigma
-        return float(self.sigma * _phi(z) - k * (1.0 - ndtr(z)))
+        tail = self.sigma * _phi(z) - k * (1.0 - ndtr(z))
+        return np.where(k < 0, self.mean() - k, tail)
 
     def range_closure(self) -> RangeClosure:
         return RangeClosure("half_with_atom")
@@ -276,14 +275,21 @@ class Empirical(Marginal):
     def mean(self) -> float:
         return float(np.mean(self.sample))
 
-    def stop_loss(self, k: float) -> float:
-        return float(np.mean(np.maximum(np.asarray(self.sample) - k, 0.0)))
+    def stop_loss(self, k):
+        return _mean_excess(self.sample, k)
 
     def range_closure(self) -> RangeClosure:
         raise MarginalError("range closure of an empirical law is not known symbolically")
 
     def __str__(self):
         return "empirical(" + ",".join(_fmt(v) for v in self.sample) + ")"
+
+
+def _mean_excess(values, k):
+    """Mean of (v - k)_+ over equally weighted ``values``, for each ``k``."""
+    k = np.asarray(k, dtype=float)
+    excess = np.maximum(np.asarray(values, dtype=float) - k[..., None], 0.0)
+    return np.mean(excess, axis=-1)
 
 
 # -- order checks -----------------------------------------------------------
@@ -330,7 +336,7 @@ def cx_leq(
         raise MarginalError("grid must be nonempty")
     if abs(m1.mean() - m2.mean()) > mean_tol:
         return False
-    return all(m1.stop_loss(float(k)) <= m2.stop_loss(float(k)) + tol for k in grid)
+    return bool(np.all(m1.stop_loss(grid) <= m2.stop_loss(grid) + tol))
 
 
 # -- literal syntax ----------------------------------------------------------

@@ -110,8 +110,9 @@ def mtp2_check(biv: DiscreteBivariate) -> bool:
 # -- orthant orders -----------------------------------------------------------
 
 
-def _dense(joint: DiscreteJoint) -> np.ndarray:
-    shape = tuple(len(s) for s in joint.supports)
+def _dense(joint: DiscreteJoint, pad: bool = False) -> np.ndarray:
+    """Mass table over the support grid, with an empty last slot per axis if padded."""
+    shape = tuple(len(s) + pad for s in joint.supports)
     arr = np.full(shape, Fraction(0), dtype=object)
     for idx, w in joint.mass.items():
         arr[idx] += w
@@ -139,17 +140,7 @@ def _canonical_violation(indices_and_gaps: list[tuple[tuple[int, ...], Fraction]
 
 def lo_check(jx: DiscreteJoint, jy: DiscreteJoint) -> OrderReport:
     """Lower orthant order: F_X <= F_Y at every support threshold, exactly."""
-    _check_same_supports(jx, jy)
-    fx, fy = _dense(jx), _dense(jy)
-    for axis in range(fx.ndim):
-        fx = np.cumsum(fx, axis=axis)
-        fy = np.cumsum(fy, axis=axis)
-    bad = [(idx, fx[idx] - fy[idx]) for idx in np.ndindex(fx.shape) if fx[idx] > fy[idx]]
-    if bad:
-        idx, gap = _canonical_violation(bad)
-        witness = tuple(jx.supports[n][i] for n, i in enumerate(idx))
-        return OrderReport("lo", False, witness=witness, details={"gap": gap})
-    return OrderReport("lo", True)
+    return _orthant_check("lo", jx, jy)
 
 
 def uo_check(jx: DiscreteJoint, jy: DiscreteJoint) -> OrderReport:
@@ -158,34 +149,40 @@ def uo_check(jx: DiscreteJoint, jy: DiscreteJoint) -> OrderReport:
     Thresholds strictly below a coordinate's support matter here (they drop
     that coordinate's constraint), so each axis carries an extra slot.
     """
+    return _orthant_check("uo", jx, jy)
+
+
+def _orthant_check(relation: str, jx: DiscreteJoint, jy: DiscreteJoint) -> OrderReport:
+    """Compare cdf tables (``lo``) or padded survival tables (``uo``).
+
+    On a survival table, entry c on an axis encodes the strict threshold
+    support[c-1] (c = 0 means a threshold below the whole support, i.e. no
+    constraint), so the entry is P(X_n > support[c_n - 1] for all n).
+    """
     _check_same_supports(jx, jy)
-    sx = _suffix_sums(jx)
-    sy = _suffix_sums(jy)
-    bad = [(idx, sx[idx] - sy[idx]) for idx in np.ndindex(sx.shape) if sx[idx] > sy[idx]]
-    if bad:
-        idx, gap = _canonical_violation(bad)
+    upper = relation == "uo"
+    tables = []
+    for joint in (jx, jy):
+        arr = _dense(joint, pad=upper)
+        for axis in range(arr.ndim):
+            if upper:
+                arr = np.flip(np.cumsum(np.flip(arr, axis), axis), axis)
+            else:
+                arr = np.cumsum(arr, axis=axis)
+        tables.append(arr)
+    fx, fy = tables
+    bad = [(idx, fx[idx] - fy[idx]) for idx in np.ndindex(fx.shape) if fx[idx] > fy[idx]]
+    if not bad:
+        return OrderReport(relation, True)
+    idx, gap = _canonical_violation(bad)
+    if upper:
         witness = tuple(
             float("-inf") if i == 0 else jx.supports[n][i - 1]
             for n, i in enumerate(idx)
         )
-        return OrderReport("uo", False, witness=witness, details={"gap": gap})
-    return OrderReport("uo", True)
-
-
-def _suffix_sums(joint: DiscreteJoint) -> np.ndarray:
-    """Padded survival table over one extra threshold slot per axis.
-
-    Entry c on an axis encodes the strict threshold support[c-1] (c = 0
-    means a threshold below the whole support, i.e. no constraint), so the
-    table value at index c is P(X_n > support[c_n - 1] for all n).
-    """
-    shape = tuple(len(s) + 1 for s in joint.supports)
-    arr = np.full(shape, Fraction(0), dtype=object)
-    for idx, w in joint.mass.items():
-        arr[idx] += w
-    for axis in range(arr.ndim):
-        arr = np.flip(np.cumsum(np.flip(arr, axis), axis), axis)
-    return arr
+    else:
+        witness = tuple(jx.supports[n][i] for n, i in enumerate(idx))
+    return OrderReport(relation, False, witness=witness, details={"gap": gap})
 
 
 # -- supermodular order via the LP oracle -------------------------------------
@@ -577,14 +574,6 @@ def audit_theorem_conditions(
     return report
 
 
-def _discrete_node_marginals(spec: DiscreteTreeSpec):
-    out = {}
-    for (i, j), biv in spec.edge_dists.items():
-        out.setdefault(i, (biv.row_values, biv.row_marginal()))
-        out.setdefault(j, (biv.col_values, biv.col_marginal()))
-    return out
-
-
 def _audit_marginals(tree, spec_x, spec_y, kind, flex) -> dict[str, object]:
     checks: dict[str, object] = {}
     if kind == "copula":
@@ -600,10 +589,8 @@ def _audit_marginals(tree, spec_x, spec_y, kind, flex) -> dict[str, object]:
                 checks[f"cx_leq[{n}]"] = marg_mod.cx_leq(a, b)
         return checks
 
-    nx = _discrete_node_marginals(spec_x)
-    ny = _discrete_node_marginals(spec_y)
     for n in range(tree.node_count):
-        (va, ma), (vb, mb) = nx[n], ny[n]
+        (va, ma), (vb, mb) = spec_x.node_laws[n], spec_y.node_laws[n]
         if flex in ("st-increase", "st-decrease"):
             ra = frozenset(itertools.accumulate(ma)) | {Fraction(0)}
             rb = frozenset(itertools.accumulate(mb)) | {Fraction(0)}

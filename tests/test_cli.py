@@ -72,6 +72,23 @@ def test_check_discrete_counterexample_fails(tmp_path, capsys):
     assert report["failures"]["ii"] == [[[0, 1], "si_parent_given_child"]]
 
 
+@pytest.mark.parametrize("flex", [[], ["--flex", "st-increase"]])
+def test_check_inconsistent_matrix_spec_exit_code(tmp_path, capsys, flex):
+    # edge (0,1) gives node 1 the uniform marginal, edge (1,2) rows (1/2, 1/4, 1/4)
+    (tmp_path / "u.txt").write_text("1/9 1/9 1/9\n" * 3)
+    (tmp_path / "d.txt").write_text("1/2 0 0\n0 1/4 0\n0 0 1/4\n")
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({
+        "tree": CHAIN_TREE, "matrices": [[0, 1, "u.txt"], [1, 2, "d.txt"]],
+    }))
+    assert main(["check", str(spec), str(spec), *flex]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "edge (1, 2)" in err and "node 1" in err
+    assert captured.out == ""
+
+
 def test_check_marginal_flex_flag(tmp_path, capsys):
     sx = write_spec(tmp_path / "x.json",
                     [[0, 1, "gaussian(0.3)"], [1, 2, "gaussian(0.3)"]],

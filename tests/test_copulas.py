@@ -17,7 +17,6 @@ from treedep.copulas import (
     open_grid,
     parse_copula,
     pqd_check,
-    tau_odds,
     theta_from_rho,
     theta_from_tau,
 )
@@ -256,7 +255,6 @@ def test_theta_matching():
     rho = math.sqrt(0.9)
     assert theta_from_rho(rho) == pytest.approx(7.764, abs=1e-3)
     assert theta_from_rho(0.0) == 0.0
-    assert tau_odds(rho) == pytest.approx(theta_from_rho(rho) / 2)
     tau = gaussian_tau(rho)
     assert Clayton(theta_from_tau(tau)).kendall_tau() == pytest.approx(tau)
     with pytest.raises(CopulaError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -10,13 +11,18 @@ from treedep.discrete import (
     DiscreteJoint,
     DiscreteTreeSpec,
     block_uniform_joint,
-    comonotone_chain_extension,
     markov_joint,
     parse_matrix_text,
 )
-from treedep.trees import make_chain, make_star
+from treedep.counterexamples import _chain_extension_laws
+from treedep.trees import DirectedTree, make_chain, make_star
 
-from conftest import random_bivariate
+from conftest import random_bivariate, random_coupling
+
+
+LOPSIDED = DiscreteBivariate.from_rows(  # rows sum to (1/2, 1/4, 1/4)
+    [[F(1, 2), 0, 0], [0, F(1, 4), 0], [0, 0, F(1, 4)]]
+)
 
 
 def uniform_product_joint():
@@ -192,11 +198,8 @@ def _assert_ci_given(joint: DiscreteJoint, sep: int, a: int, b: int):
 
 def test_inconsistent_marginals_rejected(chain3_matrices):
     a01, _, _, _ = chain3_matrices
-    lopsided = DiscreteBivariate.from_rows(
-        [[F(1, 2), 0, 0], [0, F(1, 4), 0], [0, 0, F(1, 4)]]
-    )
     with pytest.raises(DiscreteError):
-        markov_joint(make_chain(2), {(0, 1): a01, (1, 2): lopsided})
+        markov_joint(make_chain(2), {(0, 1): a01, (1, 2): LOPSIDED})
     with pytest.raises(DiscreteError):
         markov_joint(make_chain(2), {(0, 1): a01})  # missing edge
 
@@ -211,14 +214,94 @@ def test_zero_mass_support_warns():
 def test_comonotone_extension(star4_matrices):
     a01s, a02s, _, _ = star4_matrices
     joint = markov_joint(make_star(2), {(0, 1): a01s, (0, 2): a02s})
-    ext = comonotone_chain_extension(joint, 6)
+    ext = markov_joint(make_chain(5), _chain_extension_laws(a01s, a02s, 6))
     assert ext.dims == 6
     assert ext.orthant_prob((2,) * 6) == joint.orthant_prob((2, 2, 2))
     # interior repeats are perfectly coupled
     for idx in ext.mass:
         assert len({idx[i] for i in range(1, 5)}) == 1
-    with pytest.raises(DiscreteError):
-        comonotone_chain_extension(joint, 2)
+
+
+def _shifted_support(biv: DiscreteBivariate) -> DiscreteBivariate:
+    """Same weights, row support moved off 0..k-1."""
+    return DiscreteBivariate(
+        biv.weights, tuple(v + 1 for v in biv.row_values), biv.col_values
+    )
+
+
+def test_spec_rejects_marginal_mismatch_on_chain(chain3_matrices):
+    a01, _, _, _ = chain3_matrices
+    with pytest.raises(DiscreteError, match=r"edge \(1, 2\).*node 1"):
+        DiscreteTreeSpec(make_chain(2), {(0, 1): a01, (1, 2): LOPSIDED})
+
+
+def test_spec_rejects_support_mismatch_on_chain(chain3_matrices):
+    a01, a12, _, _ = chain3_matrices
+    with pytest.raises(DiscreteError, match=r"edge \(1, 2\).*node 1"):
+        DiscreteTreeSpec(make_chain(2), {(0, 1): a01, (1, 2): _shifted_support(a12)})
+
+
+def test_spec_rejects_star_root_edges_that_disagree(star4_matrices, chain3_matrices):
+    a01, a02, _, _ = star4_matrices
+    skewed = DiscreteBivariate.from_rows(  # root marginal (1/2, 1/6, 1/6, 1/6)
+        [[F(1, 8)] * 4] + [[F(1, 24)] * 4] * 3
+    )
+    for bad in (skewed, _shifted_support(a02)):
+        with pytest.raises(DiscreteError, match=r"edge \(0, 2\).*node 0"):
+            DiscreteTreeSpec(make_star(2), {(0, 1): a01, (0, 2): bad})
+    # a mismatch at the root is caught whichever edge is read first
+    with pytest.raises(DiscreteError, match="node 0"):
+        DiscreteTreeSpec(make_star(2), {(0, 2): skewed, (0, 1): a01})
+
+
+def test_spec_rejects_wrong_edge_set(chain3_matrices):
+    a01, a12, _, _ = chain3_matrices
+    with pytest.raises(DiscreteError, match="exactly the tree edges"):
+        DiscreteTreeSpec(make_chain(2), {(0, 1): a01})
+    with pytest.raises(DiscreteError, match="exactly the tree edges"):
+        DiscreteTreeSpec(make_chain(2), {(0, 1): a01, (0, 2): a12})
+
+
+def _random_recursive_spec(rng: random.Random) -> DiscreteTreeSpec:
+    """Random recursive tree with one random marginal per node (some zeros)."""
+    n = rng.randint(2, 7)
+    tree = DirectedTree(n, [(rng.randrange(0, i), i) for i in range(1, n)])
+    margs = []
+    for _ in range(n):
+        raw = [rng.choice((0, 1, 2, 3, 4)) for _ in range(rng.randint(2, 3))]
+        raw[rng.randrange(len(raw))] += 1
+        margs.append([F(x, sum(raw)) for x in raw])
+    return DiscreteTreeSpec(
+        tree, {(i, j): random_coupling(rng, margs[i], margs[j]) for i, j in tree.edges}
+    )
+
+
+def test_markov_joint_factorizes_on_random_trees():
+    rng = random.Random(53)
+    reordered = 0
+    for _ in range(60):
+        spec = _random_recursive_spec(rng)
+        tree = spec.tree
+        reordered += tree.level_order() != tuple(range(tree.node_count))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            joint = markov_joint(tree, spec.edge_dists)
+        for n, (values, marg) in enumerate(spec.node_laws):
+            assert joint.supports[n] == values
+            assert joint.marginal(n) == marg
+        positive = 0
+        for idx in itertools.product(*(range(len(v)) for v, _ in spec.node_laws)):
+            w = spec.node_laws[0][1][idx[0]]
+            for j in tree.level_order()[1:]:
+                if w == 0:
+                    break
+                i = tree.parent(j)
+                biv = spec.edge_dists[(i, j)]
+                w *= biv.weights[idx[i]][idx[j]] / biv.row_marginal()[idx[i]]
+            assert joint.mass.get(idx, F(0)) == w
+            positive += w > 0
+        assert len(joint.mass) == positive
+    assert reordered >= 10
 
 
 def test_parse_matrix_text():

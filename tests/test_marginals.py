@@ -116,6 +116,17 @@ def test_normal_stop_loss_matches_quadrature(mu, sigma2):
     assert m.stop_loss(k) == pytest.approx(numeric, abs=5e-4)
 
 
+@pytest.mark.parametrize("m", FAMILIES + [Normal(1.0, 0.0)], ids=str)
+def test_stop_loss_array_matches_scalar_calls(m):
+    # covers k <= a, a < k < b and k >= b for Uniform(0, 3), and both signs
+    # of k for RectifiedNormal
+    grid = np.concatenate([np.linspace(-4.0, 5.0, 37), [0.0, 3.0, 0.5, -0.0]])
+    got = m.stop_loss(grid)
+    assert got.shape == grid.shape
+    want = np.array([float(m.stop_loss(float(k))) for k in grid])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_parse_round_trip():
     for text in ["normal(0,4)", "uniform(0,3)", "discrete(0,1,2)",
                  "dirac(0)", "rectnormal(1.5)"]:
