@@ -196,6 +196,8 @@ class DiscreteJoint:
             raise DiscreteError("one threshold per node required")
         if isinstance(strict, bool):
             strict = [strict] * d
+        elif len(strict) != d:
+            raise DiscreteError("one strict flag per node required")
         counts = []
         for n in range(d):
             t = thresholds[n]

@@ -16,6 +16,7 @@ the defining inequalities are invariant under positive affine rescaling.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,7 +28,11 @@ from .discrete import DiscreteBivariate, DiscreteJoint, DiscreteTreeSpec
 from .simplex import solve_lp_min
 from .trees import TheoremQuery, validate_query
 
-SM_CELL_GUARD = 10_000
+# Largest cell count at which every measured supermodular LP decided within
+# 10 s on a 2-core machine (3^4 chains and 9x9 laws well under 1 s); a 96-cell
+# 2^5 x 3 chain took 47 s and a 144-cell 3x3x4x4 chain over 100 s, so
+# larger laws are left undecided.
+SM_CELL_GUARD = 81
 
 
 class OrderingError(ValueError):
@@ -110,12 +115,15 @@ def mtp2_check(biv: DiscreteBivariate) -> bool:
 # -- orthant orders -----------------------------------------------------------
 
 
-def _dense(joint: DiscreteJoint, pad: bool = False) -> np.ndarray:
-    """Mass table over the support grid, with an empty last slot per axis if padded."""
+def _integer_table(joint: DiscreteJoint, den: int, pad: bool) -> np.ndarray:
+    """Mass numerators over ``den`` on the support grid (object ints).
+
+    A padded table has an empty last slot per axis.
+    """
     shape = tuple(len(s) + pad for s in joint.supports)
-    arr = np.full(shape, Fraction(0), dtype=object)
+    arr = np.zeros(shape, dtype=object)
     for idx, w in joint.mass.items():
-        arr[idx] += w
+        arr[idx] += w.numerator * (den // w.denominator)
     return arr
 
 
@@ -157,24 +165,27 @@ def _orthant_check(relation: str, jx: DiscreteJoint, jy: DiscreteJoint) -> Order
 
     On a survival table, entry c on an axis encodes the strict threshold
     support[c-1] (c = 0 means a threshold below the whole support, i.e. no
-    constraint), so the entry is P(X_n > support[c_n - 1] for all n).
+    constraint), so the entry is P(X_n > support[c_n - 1] for all n).  Both
+    tables hold integer numerators over one common denominator, the lcm of
+    every mass denominator of both joints.
     """
     _check_same_supports(jx, jy)
     upper = relation == "uo"
+    den = math.lcm(*(w.denominator for j in (jx, jy) for w in j.mass.values()))
     tables = []
     for joint in (jx, jy):
-        arr = _dense(joint, pad=upper)
+        arr = _integer_table(joint, den, pad=upper)
         for axis in range(arr.ndim):
             if upper:
                 arr = np.flip(np.cumsum(np.flip(arr, axis), axis), axis)
             else:
                 arr = np.cumsum(arr, axis=axis)
         tables.append(arr)
-    fx, fy = tables
-    bad = [(idx, fx[idx] - fy[idx]) for idx in np.ndindex(fx.shape) if fx[idx] > fy[idx]]
+    diff = tables[0] - tables[1]
+    bad = [tuple(idx) for idx in np.argwhere(diff > 0).tolist()]
     if not bad:
         return OrderReport(relation, True)
-    idx, gap = _canonical_violation(bad)
+    idx, gap = _canonical_violation([(idx, Fraction(diff[idx], den)) for idx in bad])
     if upper:
         witness = tuple(
             float("-inf") if i == 0 else jx.supports[n][i - 1]
@@ -193,8 +204,8 @@ def _supermodular_program(jx: DiscreteJoint, jy: DiscreteJoint):
     cells = list(itertools.product(*(range(k) for k in shape)))
     var = {c: i for i, c in enumerate(cells)}
     n = len(cells)
-    px, py = _dense(jx), _dense(jy)
-    c_vec = [py[cell] - px[cell] for cell in cells]
+    mx, my = jx.mass, jy.mass
+    c_vec = [my.get(cell, 0) - mx.get(cell, 0) for cell in cells]
 
     a_rows: list[list[Fraction]] = []
     zero = Fraction(0)

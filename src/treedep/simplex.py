@@ -1,19 +1,58 @@
-"""Dense simplex solver over exact rationals.
+"""Dense simplex solver over exact rationals, in integer arithmetic.
 
 Solves  min c.x  subject to  A x <= b,  x >= 0  with b >= 0, which makes the
-slack basis feasible from the start (no phase-1 needed).  Bland's rule keeps
-the heavily degenerate supermodularity cones from cycling.  Intended for the
+slack basis feasible from the start (no phase-1 needed).  Intended for the
 small lattices that the order oracles produce, not for large programs.
+
+The tableau is fraction-free: each constraint row holds integer numerators
+over its own positive denominator, which is the row's entry in its basic
+column, and the objective row holds integer numerators over one explicit
+positive denominator.  A pivot rewrites a row ``r`` with a nonzero entering
+coefficient ``f`` as ``r*piv - f*pivot_row`` and divides it by its gcd, so
+every row stays the least integer multiple of its rational row.  Reduced
+costs share one denominator and compare as integers; the ratio test compares
+by cross-multiplication, since each row's denominator cancels.  The pivot
+rule is exact: steepest reduced cost until progress stalls, then Bland's
+rule, which keeps the heavily degenerate supermodularity cones from cycling.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 
 class SimplexError(RuntimeError):
     """Raised on unbounded or structurally invalid programs."""
+
+
+def _integer_row(values) -> tuple[list[int], int]:
+    """Numerators of the rationals ``values`` over their least common denominator."""
+    fracs = [v if type(v) is Fraction else Fraction(v) for v in values]
+    dens = [v.denominator for v in fracs]
+    den = lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(fracs, dens)], den
+
+
+def _eliminate(row: list[int], f: int, piv: int,
+               support: list[tuple[int, int]]) -> list[int]:
+    """``row*piv - f*pivot_row``, the pivot row given by its nonzero entries."""
+    new = [x * piv for x in row] if piv != 1 else row[:]
+    for j, p in support:
+        new[j] -= f * p
+    return new
+
+
+def _divide_out(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide ``row`` and its positive denominator ``den`` by their gcd.
+
+    The gcd divides ``den``, so a unit denominator needs no gcd at all.
+    """
+    g = gcd(den, *row) if den > 1 else 1
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
 
 
 def solve_lp_min(
@@ -34,15 +73,17 @@ def solve_lp_min(
     if any(b < 0 for b in b_ub):
         raise SimplexError("b must be nonnegative (slack basis must be feasible)")
 
-    zero = Fraction(0)
-    # tableau rows: [a | slack identity | rhs]; objective row holds reduced costs
-    rows: list[list[Fraction]] = []
+    # tableau rows: [a | slack identity | rhs] as integers over the row's
+    # denominator, which is also its entry in its basic (slack) column
+    rows: list[list[int]] = []
     for i in range(m):
-        row = [Fraction(x) for x in a_ub[i]]
-        row.extend(Fraction(1) if j == i else zero for j in range(m))
-        row.append(Fraction(b_ub[i]))
+        nums, den = _integer_row([*a_ub[i], b_ub[i]])
+        row = nums[:n] + [0] * m + nums[n:]
+        row[n + i] = den
         rows.append(row)
-    obj = [Fraction(x) for x in c] + [zero] * (m + 1)
+    # objective row: reduced costs and minus the value, over obj_den
+    nums, obj_den = _integer_row(c)
+    obj = nums + [0] * (m + 1)
     basis = list(range(n, n + m))
 
     if max_pivots is None:
@@ -57,48 +98,50 @@ def solve_lp_min(
             enter = next((j for j in range(n + m) if obj[j] < 0), None)
         else:
             enter = None
-            best_cost = zero
+            best_cost = 0
             for j in range(n + m):
                 if obj[j] < best_cost:
                     best_cost = obj[j]
                     enter = j
         if enter is None:
-            x = [zero] * n
-            for i, bvar in enumerate(basis):
+            x = [Fraction(0)] * n
+            for row, bvar in zip(rows, basis):
                 if bvar < n:
-                    x[bvar] = rows[i][-1]
-            return -obj[-1], x
-        # ratio test, smallest-basis-index tie-break
+                    x[bvar] = Fraction(row[-1], row[bvar])
+            return Fraction(-obj[-1], obj_den), x
+        # ratio test rhs/coeff by cross-multiplication, smallest-basis-index
+        # tie-break
         leave = None
-        best = None
-        for i in range(m):
-            coeff = rows[i][enter]
-            if coeff > 0:
-                ratio = rows[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(rows):
+            coeff = row[enter]
+            if coeff <= 0:
+                continue
+            if leave is not None:
+                lhs = row[-1] * best_coeff
+                rhs = best_rhs * coeff
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave, best_rhs, best_coeff = i, row[-1], coeff
         if leave is None:
             raise SimplexError("program is unbounded")
         if not bland:
-            stall = stall + 1 if best == 0 else 0
+            stall = stall + 1 if rows[leave][-1] == 0 else 0
             if stall > stall_limit:
                 bland = True
-        _pivot(rows, obj, basis, leave, enter)
-    raise SimplexError("pivot budget exhausted")
 
-
-def _pivot(rows, obj, basis, leave: int, enter: int) -> None:
-    pivot_row = rows[leave]
-    piv = pivot_row[enter]
-    inv = 1 / piv
-    rows[leave] = [x * inv for x in pivot_row]
-    pivot_row = rows[leave]
-    for i, row in enumerate(rows):
-        if i != leave and row[enter] != 0:
+        # the pivot row keeps its numerators: its new basic entry piv is its
+        # denominator; every other row with a nonzero entering coefficient
+        # becomes row*piv - f*pivot_row over the old denominator times piv
+        pivot_row = rows[leave]
+        piv = pivot_row[enter]
+        support = [(j, p) for j, p in enumerate(pivot_row) if p]
+        for i, row in enumerate(rows):
             f = row[enter]
-            rows[i] = [x if p == 0 else x - f * p for x, p in zip(row, pivot_row)]
-    if obj[enter] != 0:
+            if f and i != leave:
+                rows[i] = _divide_out(_eliminate(row, f, piv, support),
+                                      row[basis[i]] * piv)[0]
         f = obj[enter]
-        obj[:] = [x if p == 0 else x - f * p for x, p in zip(obj, pivot_row)]
-    basis[leave] = enter
+        if f:
+            obj, obj_den = _divide_out(_eliminate(obj, f, piv, support), obj_den * piv)
+        basis[leave] = enter
+    raise SimplexError("pivot budget exhausted")

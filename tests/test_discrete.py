@@ -80,6 +80,17 @@ def test_orthant_probabilities(chain3_matrices, star4_matrices):
     assert jx.orthant_prob((0, 0, 0), strict=True) == 0
 
 
+def test_orthant_strict_flags_must_match_dims(chain3_matrices):
+    a01, a12, _, _ = chain3_matrices
+    joint = markov_joint(make_chain(2), {(0, 1): a01, (1, 2): a12})
+    with pytest.raises(DiscreteError, match="strict flag"):
+        joint.orthant_prob((1, 1, 1), strict=[True, False])
+    with pytest.raises(DiscreteError, match="strict flag"):
+        joint.orthant_prob((1, 1, 1), strict=[False, False, False, True])
+    assert joint.orthant_prob((1, 1, 1), strict=[False] * 3) == F(112, 300)
+    assert joint.orthant_prob((2, 2, 2), strict=(True, True, True)) == F(112, 300)
+
+
 def test_orthant_monotone_in_thresholds(chain3_matrices):
     a01, a12, _, _ = chain3_matrices
     joint = markov_joint(make_chain(2), {(0, 1): a01, (1, 2): a12})

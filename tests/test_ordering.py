@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from treedep.discrete import (
 )
 from treedep.marginals import Normal, Uniform
 from treedep.ordering import (
+    SM_CELL_GUARD,
     OrderingError,
     audit_theorem_conditions,
     lo_check,
@@ -98,14 +100,16 @@ def brute_force_lo(jx: DiscreteJoint, jy: DiscreteJoint) -> bool:
     )
 
 
-def brute_force_uo(jx: DiscreteJoint, jy: DiscreteJoint) -> bool:
-    def survival(j, t):
-        total = F(0)
-        for idx, w in j.mass.items():
-            if all(j.supports[n][i] > tn for n, (i, tn) in enumerate(zip(idx, t))):
-                total += w
-        return total
+def survival(j: DiscreteJoint, t) -> F:
+    """P(X_n > t_n for all n), summed cell by cell."""
+    total = F(0)
+    for idx, w in j.mass.items():
+        if all(j.supports[n][i] > tn for n, (i, tn) in enumerate(zip(idx, t))):
+            total += w
+    return total
 
+
+def brute_force_uo(jx: DiscreteJoint, jy: DiscreteJoint) -> bool:
     grids = [[float("-inf")] + list(s) for s in jx.supports]
     return all(
         survival(jx, t) <= survival(jy, t)
@@ -125,6 +129,38 @@ def test_lo_uo_match_brute_force_enumeration():
         if bad.holds is False:
             t = bad.witness
             assert jx.orthant_prob(t) > jy.orthant_prob(t)
+
+
+def _masses_over(rng: random.Random, cells: int, den: int) -> list[F]:
+    """Random positive masses p/den summing to 1, odd p except possibly the last."""
+    nums = [2 * rng.randrange(den // (4 * cells)) + 1 for _ in range(cells - 1)]
+    return [F(p, den) for p in nums] + [F(den - sum(nums), den)]
+
+
+def test_lo_uo_gaps_exact_with_large_coprime_denominators():
+    # 2**40 * 3**25 is past int64, so the integer tables must stay exact
+    rng = random.Random(97)
+    supports = ((0, 1, 2), (0, 1, 2), (0, 1))
+    cells = list(itertools.product(*(range(len(s)) for s in supports)))
+    seen = set()
+    for _ in range(6):
+        jx = DiscreteJoint(supports, dict(zip(cells, _masses_over(rng, 18, 2**40))))
+        jy = DiscreteJoint(supports, dict(zip(cells, _masses_over(rng, 18, 3**25))))
+        assert max(w.denominator for w in jx.mass.values()) == 2**40
+        assert max(w.denominator for w in jy.mass.values()) == 3**25
+        for a, b in ((jx, jy), (jy, jx)):
+            lo, uo = lo_check(a, b), uo_check(a, b)
+            assert lo.holds == brute_force_lo(a, b)
+            assert uo.holds == brute_force_uo(a, b)
+            if lo.holds is False:
+                t = lo.witness
+                assert lo.details["gap"] == a.orthant_prob(t) - b.orthant_prob(t)
+                seen.add("lo")
+            if uo.holds is False:
+                t = uo.witness
+                assert uo.details["gap"] == survival(a, t) - survival(b, t)
+                seen.add("uo")
+    assert seen == {"lo", "uo"}
 
 
 # -- supermodular LP oracle ------------------------------------------------------
@@ -266,6 +302,19 @@ def test_sm_scale_guard():
     big = DiscreteJoint((sup, sup, sup, sup), mass)
     rep = sm_check_lp(big, big)
     assert rep.holds is None
+
+
+def test_psmd_guard_rejects_3_to_the_5_chain_at_once():
+    third = F(1, 3)
+    uniform = DiscreteBivariate.from_rows([[third * third] * 3] * 3)
+    chain = markov_joint(make_chain(4), {(i, i + 1): uniform for i in range(4)})
+    assert chain.cell_count() == 243
+    start = time.perf_counter()
+    rep = psmd_check(chain)
+    assert time.perf_counter() - start < 1.0
+    assert rep.holds is None
+    assert rep.details == {"reason": f"more than {SM_CELL_GUARD} cells"}
+    assert SM_CELL_GUARD < 243
 
 
 # -- psmd ------------------------------------------------------------------------

@@ -47,6 +47,48 @@ def test_degenerate_constraints_terminate():
     assert sum(x) <= 1
 
 
+def test_bland_switch_returns_the_optimal_vertex():
+    # Beale's cycling example: the steepest rule pivots degenerately at zero
+    # for more than 2(n + m) steps before Bland's rule takes over
+    c = [F(-3, 4), F(20), F(-1, 2), F(6)]
+    a = [
+        [F(1, 4), F(-8), F(-1), F(9)],
+        [F(1, 2), F(-12), F(-1, 2), F(3)],
+        [F(0), F(0), F(1), F(0)],
+    ]
+    value, x = solve_lp_min(c, a, [F(0), F(0), F(1)])
+    assert value == F(-5, 4)
+    assert x == [F(1), F(0), F(1), F(0)]
+
+
+def test_mixed_denominator_objective_vertex():
+    c = [F(-1, 3), F(-2, 7), F(-1, 1000003)]
+    a = [[F(1), F(1), F(1)], [F(2), F(0), F(0)], [F(0), F(3, 5), F(0)]]
+    value, x = solve_lp_min(c, a, [F(1), F(1), F(1, 5)])
+    assert x == [F(1, 2), F(1, 3), F(1, 6)]
+    assert value == F(-1, 6) - F(2, 21) - F(1, 6 * 1000003)
+
+
+def test_ratio_tie_break_pins_the_supermodular_vertex():
+    # a 4x4 supermodular program with two optimal vertices: the ratio test's
+    # smallest-basis-index tie-break decides which one is returned
+    from treedep.discrete import DiscreteJoint
+    from treedep.ordering import _supermodular_program
+
+    grid = tuple(range(4))
+    joint = DiscreteJoint((grid, grid), {(i, j): F(1, 16) for i in grid for j in grid})
+    _, _, a_rows, b = _supermodular_program(joint, joint)
+    c = [F(v) for v in (
+        "157/6240", "191/9984", "211/199680", "-1811/39936",
+        "-37/1664", "-389/9984", "2701/199680", "3173/66560",
+        "-313/24960", "287/24960", "-7/480", "1/64",
+        "1/104", "1/120", "0", "-7/390",
+    )]
+    value, x = solve_lp_min(c, a_rows, b)
+    assert value == F(-7, 195)
+    assert x == [F(v) for v in (1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1)]
+
+
 def test_unbounded_detected():
     with pytest.raises(SimplexError):
         solve_lp_min([F(-1)], [[F(-1)]], [F(0)])
