@@ -1,17 +1,24 @@
 """Finite-support joint distributions in exact rational arithmetic.
 
 Bivariate building blocks, tree-factorized joints, orthant probabilities and
-block-uniform laws.  Everything is :class:`fractions.Fraction`-exact so that
-counterexamples separated by 0.01/3 stay separated.
+block-uniform laws.  A joint is an integer table over its support grid with
+one common denominator, so its sums run in exact integer arithmetic; every
+probability it returns is a :class:`fractions.Fraction`, so counterexamples
+separated by 0.01/3 stay separated.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
+import operator
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .trees import DirectedTree
 
@@ -125,68 +132,197 @@ def parse_matrix_text(text: str) -> DiscreteBivariate:
     return DiscreteBivariate.from_rows(rows, row_values, col_values)
 
 
-@dataclass(frozen=True)
-class DiscreteJoint:
-    """Sparse exact joint law over per-node finite supports.
+# Largest support grid a joint may span.  The table holds one Python int per
+# cell and markov_joint briefly holds two grids: building a random 3^12 chain
+# (531,441 cells) peaked at 81 MB of process memory, a 4^10 chain (2^20
+# cells) at 91 MB.
+MAX_CELLS = 1 << 20
 
-    ``mass`` maps index tuples (one index per node) to positive rationals;
-    omitted tuples carry zero mass.
+
+def _grid_shape(supports: Iterable[Sequence]) -> tuple[int, ...]:
+    """Shape of the support grid, refused past :data:`MAX_CELLS` up front."""
+    shape = tuple(len(s) for s in supports)
+    cells = math.prod(shape)
+    if cells > MAX_CELLS:
+        raise DiscreteError(
+            f"support grid has {cells} cells, more than the limit of {MAX_CELLS}"
+        )
+    return shape
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """Numerators of the rationals ``values`` over their lcm, as object ints."""
+    den = math.lcm(*(v.denominator for v in values))
+    return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
+
+
+class _MassView(Mapping):
+    """Read-only mapping from the index tuples of positive cells to Fractions."""
+
+    def __init__(self, table: np.ndarray, den: int):
+        self._table, self._den = table, den
+
+    def __getitem__(self, idx):
+        table = self._table
+        try:
+            inside = len(idx) == table.ndim and all(
+                0 <= i < k for i, k in zip(idx, table.shape)
+            )
+            num = table[idx] if inside else 0
+        except (TypeError, IndexError):
+            num = 0
+        if not num:
+            raise KeyError(idx)
+        return Fraction(num, self._den)
+
+    def __iter__(self):
+        return map(tuple, np.argwhere(self._table).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._table))
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class DiscreteJoint:
+    """Exact joint law over per-node finite supports, as one integer table.
+
+    ``table`` holds nonnegative integer numerators (numpy object ints,
+    read-only) on the support grid and ``den`` is their common positive
+    denominator: P(X_n = supports[n][idx[n]] for all n) = table[idx] / den.
+    ``DiscreteJoint(supports, mass)`` builds one from a mapping of index
+    tuples (one index per node) to rationals, omitted tuples carrying zero
+    mass; :meth:`from_table` builds one from numerators and a denominator.
     """
 
-    supports: tuple[tuple, ...]
-    mass: Mapping[tuple[int, ...], Fraction]
-
-    def __post_init__(self):
-        total = Fraction(0)
-        d = len(self.supports)
-        for idx, w in self.mass.items():
-            if len(idx) != d:
+    def __init__(self, supports: Sequence[Sequence],
+                 mass: Mapping[tuple[int, ...], Fraction]):
+        supports = tuple(tuple(s) for s in supports)
+        shape = _grid_shape(supports)
+        weights = {}
+        for idx, w in mass.items():
+            w = Fraction(w)
+            if len(idx) != len(shape):
                 raise DiscreteError("index tuple arity mismatch")
             if w < 0:
                 raise DiscreteError("masses must be nonnegative")
-            for n, i in enumerate(idx):
-                if not 0 <= i < len(self.supports[n]):
-                    raise DiscreteError("index out of support range")
-            total += w
-        if total != 1:
-            raise DiscreteError(f"total mass is {total}, expected 1")
+            if not all(0 <= i < k for i, k in zip(idx, shape)):
+                raise DiscreteError("index out of support range")
+            weights[tuple(idx)] = w
+        nums, den = _over_lcm(list(weights.values()))
+        table = np.zeros(shape, dtype=object)
+        for idx, num in zip(weights, nums):
+            table[idx] = num
+        _check_total(table.sum(), den)
+        self._set(supports, table, den)
+
+    @classmethod
+    def from_table(cls, supports: Sequence[Sequence], table, den: int) -> "DiscreteJoint":
+        """The law with integer numerators ``table`` over ``den`` on the support grid."""
+        supports = tuple(tuple(s) for s in supports)
+        shape = _grid_shape(supports)
+        table = np.asarray(table, dtype=object)
+        if table.shape != shape:
+            raise DiscreteError(
+                f"table shape {table.shape} does not match the support grid {shape}"
+            )
+        try:
+            nums = [operator.index(x) for x in table.flat]
+            den = operator.index(den)
+        except TypeError:
+            raise DiscreteError("table entries and den must be integers") from None
+        if den <= 0:
+            raise DiscreteError("den must be positive")
+        if any(x < 0 for x in nums):
+            raise DiscreteError("masses must be nonnegative")
+        _check_total(sum(nums), den)
+        table = np.empty(len(nums), dtype=object)
+        table[:] = nums
+        return cls._of(supports, table.reshape(shape), den)
+
+    @classmethod
+    def _of(cls, supports: tuple[tuple, ...], table: np.ndarray, den: int) -> "DiscreteJoint":
+        """Unchecked constructor for tables this module built exactly."""
+        joint = cls.__new__(cls)
+        joint._set(supports, table, den)
+        return joint
+
+    def _set(self, supports, table, den) -> None:
+        table.flags.writeable = False
+        object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return DiscreteJoint._of, (self.supports, self.table, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteJoint):
+            return NotImplemented
+        return self.supports == other.supports and np.array_equal(
+            self.table * other.den, other.table * self.den
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"DiscreteJoint(supports={self.supports!r}, "
+                f"{len(self.mass)} positive cells over {self.den})")
+
+    @property
+    def mass(self) -> Mapping[tuple[int, ...], Fraction]:
+        """The positive cells as a read-only mapping: index tuple -> Fraction."""
+        return _MassView(self.table, self.den)
 
     @property
     def dims(self) -> int:
         return len(self.supports)
 
     def cell_count(self) -> int:
-        n = 1
-        for s in self.supports:
-            n *= len(s)
-        return n
+        return self.table.size
+
+    def _node(self, node: int) -> int:
+        if not 0 <= node < self.dims:
+            raise DiscreteError(
+                f"node {node} is out of range for a joint of dimension {self.dims}"
+            )
+        return node
+
+    def _kept(self, nodes: Sequence[int]) -> np.ndarray:
+        """Numerators on the axes of the ascending ``nodes``, the rest summed out."""
+        dropped = tuple(n for n in range(self.dims) if n not in nodes)
+        return self.table.sum(axis=dropped) if dropped else self.table
 
     def marginal(self, node: int) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * len(self.supports[node])
-        for idx, w in self.mass.items():
-            out[idx[node]] += w
-        return tuple(out)
+        return tuple(Fraction(x, self.den) for x in self._kept((self._node(node),)))
 
     def marginalize(self, nodes: Sequence[int]) -> "DiscreteJoint":
         """Joint law of the given nodes, kept in ascending node order."""
-        nodes = sorted(set(nodes))
+        nodes = sorted({self._node(n) for n in nodes})
         if not nodes:
             raise DiscreteError("node subset must be nonempty")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for idx, w in self.mass.items():
-            key = tuple(idx[n] for n in nodes)
-            out[key] = out.get(key, Fraction(0)) + w
         supports = tuple(self.supports[n] for n in nodes)
-        return DiscreteJoint(supports, out)
+        return DiscreteJoint._of(supports, self._kept(nodes), self.den)
 
     def bivariate(self, i: int, j: int) -> DiscreteBivariate:
-        """Edge marginal as a :class:`DiscreteBivariate` (i rows, j columns)."""
-        ri, rj = len(self.supports[i]), len(self.supports[j])
-        w = [[Fraction(0)] * rj for _ in range(ri)]
-        for idx, m in self.mass.items():
-            w[idx[i]][idx[j]] += m
+        """Edge marginal as a :class:`DiscreteBivariate` (i rows, j columns).
+
+        With ``i == j`` this is the diagonal law of the node with itself.
+        """
+        i, j = self._node(i), self._node(j)
+        if i == j:
+            w = np.diag(self._kept((i,)))
+        else:
+            w = self._kept(sorted((i, j)))
+            if i > j:
+                w = w.T
         return DiscreteBivariate(
-            tuple(tuple(row) for row in w), tuple(self.supports[i]), tuple(self.supports[j])
+            tuple(tuple(Fraction(x, self.den) for x in row) for row in w),
+            self.supports[i], self.supports[j],
         )
 
     def orthant_prob(self, thresholds: Sequence, strict: Sequence[bool] | bool = False) -> Fraction:
@@ -198,32 +334,26 @@ class DiscreteJoint:
             strict = [strict] * d
         elif len(strict) != d:
             raise DiscreteError("one strict flag per node required")
-        counts = []
-        for n in range(d):
-            t = thresholds[n]
-            vals = self.supports[n]
-            if strict[n]:
-                counts.append(sum(1 for v in vals if v < t))
-            else:
-                counts.append(sum(1 for v in vals if v <= t))
-        total = Fraction(0)
-        for idx, w in self.mass.items():
-            if all(idx[n] < counts[n] for n in range(d)):
-                total += w
-        return total
+        corner = []
+        for vals, t, lt in zip(self.supports, thresholds, strict):
+            count = sum(1 for v in vals if v < t) if lt else sum(1 for v in vals if v <= t)
+            corner.append(slice(0, count))
+        return Fraction(self.table[tuple(corner)].sum(), self.den)
 
     def product_of_marginals(self) -> "DiscreteJoint":
         """Independent coupling of this law's univariate marginals."""
-        margs = [self.marginal(n) for n in range(self.dims)]
-        out: dict[tuple[int, ...], Fraction] = {}
-        ranges = [range(len(s)) for s in self.supports]
-        for idx in itertools.product(*ranges):
-            w = Fraction(1)
-            for n, i in enumerate(idx):
-                w *= margs[n][i]
-            if w > 0:
-                out[idx] = w
-        return DiscreteJoint(self.supports, out)
+        vectors, den = [], 1
+        for n in range(self.dims):
+            marg = self._kept((n,))
+            g = math.gcd(self.den, *marg)
+            vectors.append(marg // g)
+            den *= self.den // g
+        return DiscreteJoint._of(self.supports, functools.reduce(np.multiply.outer, vectors), den)
+
+
+def _check_total(total: int, den: int) -> None:
+    if total != den:
+        raise DiscreteError(f"total mass is {Fraction(total, den)}, expected 1")
 
 
 def markov_joint(
@@ -238,6 +368,7 @@ def markov_joint(
     """
     spec = DiscreteTreeSpec(tree, edge_dists)
     laws = spec.node_laws
+    shape = _grid_shape(values for values, _ in laws)
     if any(w == 0 for _, marg in laws for w in marg):
         warnings.warn(
             "some support values carry zero mass; conditionals there are "
@@ -245,26 +376,21 @@ def markov_joint(
             stacklevel=2,
         )
 
-    # expand root-to-leaves over node-ordered index tuples (unplaced nodes
-    # hold 0), keeping only positive-mass assignments
-    rest = (0,) * (tree.node_count - 1)
-    partial: dict[tuple[int, ...], Fraction] = {
-        (k,) + rest: w for k, w in enumerate(laws[0][1]) if w > 0
-    }
+    # broadcast product in level order: the root marginal's numerators, then
+    # each edge's conditional w(i,j)/m_parent(i) over its lcm on the (parent,
+    # child) axes; zero-mass parent rows get 0
+    table, den = _over_lcm(laws[0][1])
+    table = table.reshape(shape[:1] + (1,) * (len(shape) - 1))
     for node in tree.level_order()[1:]:
         parent = tree.parent(node)
-        biv = edge_dists[(parent, node)]
-        parent_marg = laws[parent][1]
-        new_partial: dict[tuple[int, ...], Fraction] = {}
-        for idx, w in partial.items():
-            pi = idx[parent]
-            denom = parent_marg[pi]
-            head, tail = idx[:node], idx[node + 1:]
-            for ci, m in enumerate(biv.weights[pi]):
-                if m > 0:
-                    new_partial[head + (ci,) + tail] = w * m / denom
-        partial = new_partial
-    return DiscreteJoint(tuple(values for values, _ in laws), partial)
+        rows = zip(laws[parent][1], edge_dists[(parent, node)].weights)
+        cond, lcm = _over_lcm([w / m if m else Fraction(0) for m, row in rows for w in row])
+        cond = cond.reshape(shape[parent], shape[node])
+        axes = [1] * len(shape)
+        axes[parent], axes[node] = shape[parent], shape[node]
+        table = table * (cond if parent < node else cond.T).reshape(axes)
+        den *= lcm
+    return DiscreteJoint._of(tuple(values for values, _ in laws), table, den)
 
 
 @dataclass(frozen=True)

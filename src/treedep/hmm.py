@@ -90,6 +90,8 @@ def build_spec(d: int, family: str, sigma_schedule: Sequence[float]) -> TreeSpec
     sigma = np.asarray(sigma_schedule, dtype=float)
     if sigma.shape != (d,):
         raise WalkError(f"schedule must have length {d}")
+    if not np.all(np.isfinite(sigma)):
+        raise WalkError("sigma must be finite")
     if np.any(sigma < 0):
         raise WalkError("sigma must be >= 0")
     if family == "none":
@@ -110,6 +112,8 @@ def build_spec(d: int, family: str, sigma_schedule: Sequence[float]) -> TreeSpec
 
 
 def default_t_grid(d: int, points: int = 401) -> np.ndarray:
+    if points < 1:
+        raise WalkError(f"grid must have at least 1 point, got {points}")
     return np.linspace(-5.0, 4.0 * math.sqrt(d), points)
 
 

@@ -116,15 +116,17 @@ def mtp2_check(biv: DiscreteBivariate) -> bool:
 
 
 def _integer_table(joint: DiscreteJoint, den: int, pad: bool) -> np.ndarray:
-    """Mass numerators over ``den`` on the support grid (object ints).
+    """Mass numerators over ``den``, a multiple of ``joint.den``, on the support grid.
 
-    A padded table has an empty last slot per axis.
+    A padded table has an empty last slot per axis, filled in by slice
+    assignment because ``np.pad`` overflows on big object ints.
     """
-    shape = tuple(len(s) + pad for s in joint.supports)
-    arr = np.zeros(shape, dtype=object)
-    for idx, w in joint.mass.items():
-        arr[idx] += w.numerator * (den // w.denominator)
-    return arr
+    arr = joint.table * (den // joint.den)
+    if not pad:
+        return arr
+    padded = np.zeros(tuple(k + 1 for k in arr.shape), dtype=object)
+    padded[tuple(slice(0, k) for k in arr.shape)] = arr
+    return padded
 
 
 def _check_same_supports(jx: DiscreteJoint, jy: DiscreteJoint) -> None:
@@ -132,8 +134,10 @@ def _check_same_supports(jx: DiscreteJoint, jy: DiscreteJoint) -> None:
         raise OrderingError("joints must share identical supports")
 
 
-def _canonical_violation(indices_and_gaps: list[tuple[tuple[int, ...], Fraction]]):
+def _canonical_violation(indices_and_gaps: list[tuple[tuple[int, ...], int]]):
     """Deterministic witness pick: widest gap, most balanced corner.
+
+    Gaps are integer numerators over one common denominator.
 
     Among maximal-gap violations, prefer the smallest maximum coordinate and
     then the lexicographically largest index tuple; this favors the central
@@ -167,11 +171,11 @@ def _orthant_check(relation: str, jx: DiscreteJoint, jy: DiscreteJoint) -> Order
     support[c-1] (c = 0 means a threshold below the whole support, i.e. no
     constraint), so the entry is P(X_n > support[c_n - 1] for all n).  Both
     tables hold integer numerators over one common denominator, the lcm of
-    every mass denominator of both joints.
+    the two joints' denominators.
     """
     _check_same_supports(jx, jy)
     upper = relation == "uo"
-    den = math.lcm(*(w.denominator for j in (jx, jy) for w in j.mass.values()))
+    den = math.lcm(jx.den, jy.den)
     tables = []
     for joint in (jx, jy):
         arr = _integer_table(joint, den, pad=upper)
@@ -185,7 +189,7 @@ def _orthant_check(relation: str, jx: DiscreteJoint, jy: DiscreteJoint) -> Order
     bad = [tuple(idx) for idx in np.argwhere(diff > 0).tolist()]
     if not bad:
         return OrderReport(relation, True)
-    idx, gap = _canonical_violation([(idx, Fraction(diff[idx], den)) for idx in bad])
+    idx, gap = _canonical_violation([(idx, diff[idx]) for idx in bad])
     if upper:
         witness = tuple(
             float("-inf") if i == 0 else jx.supports[n][i - 1]
@@ -193,7 +197,7 @@ def _orthant_check(relation: str, jx: DiscreteJoint, jy: DiscreteJoint) -> Order
         )
     else:
         witness = tuple(jx.supports[n][i] for n, i in enumerate(idx))
-    return OrderReport(relation, False, witness=witness, details={"gap": gap})
+    return OrderReport(relation, False, witness=witness, details={"gap": Fraction(gap, den)})
 
 
 # -- supermodular order via the LP oracle -------------------------------------
@@ -204,8 +208,9 @@ def _supermodular_program(jx: DiscreteJoint, jy: DiscreteJoint):
     cells = list(itertools.product(*(range(k) for k in shape)))
     var = {c: i for i, c in enumerate(cells)}
     n = len(cells)
-    mx, my = jx.mass, jy.mass
-    c_vec = [my.get(cell, 0) - mx.get(cell, 0) for cell in cells]
+    den = math.lcm(jx.den, jy.den)
+    diff = _integer_table(jy, den, pad=False) - _integer_table(jx, den, pad=False)
+    c_vec = [Fraction(v, den) for v in diff.flat]
 
     a_rows: list[list[Fraction]] = []
     zero = Fraction(0)

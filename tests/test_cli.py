@@ -219,6 +219,23 @@ def test_band_rejects_zero_workers(tmp_path, capsys):
     assert "workers" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--grid", "0"], "grid"),
+    (["--grid", "-3"], "grid"),
+    (["--sigma", "const:inf"], "sigma"),
+    (["--sigma", "const:nan"], "sigma"),
+    (["--sigma", "linear:inf"], "sigma"),
+])
+def test_band_rejects_malformed_input(tmp_path, capsys, argv, name):
+    out = tmp_path / "b.csv"
+    code = main(["band", "--steps", "3", "--samples", "50", *argv, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert name in err and "rho" not in err
+    assert not out.exists()
+
+
 def _failing_h_inv(self, u, p):
     raise HInversionError("bisection did not converge")
 

@@ -1,11 +1,14 @@
 import itertools
+import pickle
 import random
+import time
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
 from treedep.discrete import (
+    MAX_CELLS,
     DiscreteBivariate,
     DiscreteError,
     DiscreteJoint,
@@ -313,6 +316,189 @@ def test_markov_joint_factorizes_on_random_trees():
             positive += w > 0
         assert len(joint.mass) == positive
     assert reordered >= 10
+
+
+def _relabelled_spec(rng: random.Random) -> DiscreteTreeSpec:
+    """Random recursive tree with non-root labels shuffled, so that parents may
+    carry larger labels than their children and level order differs from
+    node order; each node gets a random marginal (some zeros) on random
+    sorted support values."""
+    n = rng.randint(2, 7)
+    label = [0] + rng.sample(range(1, n), n - 1)
+    tree = DirectedTree(n, [(label[rng.randrange(0, i)], label[i]) for i in range(1, n)])
+    laws = []
+    for _ in range(n):
+        raw = [rng.choice((0, 1, 2, 3, 4)) for _ in range(rng.randint(2, 3))]
+        raw[rng.randrange(len(raw))] += 1
+        values = tuple(sorted(rng.sample(range(-6, 7), len(raw))))
+        laws.append((values, [F(x, sum(raw)) for x in raw]))
+    dists = {}
+    for i, j in tree.edges:
+        w = random_coupling(rng, laws[i][1], laws[j][1]).weights
+        dists[(i, j)] = DiscreteBivariate(w, laws[i][0], laws[j][0])
+    return DiscreteTreeSpec(tree, dists)
+
+
+def _enumerate(spec: DiscreteTreeSpec) -> dict:
+    """Root marginal times one conditional per edge, over every grid cell."""
+    tree, laws = spec.tree, spec.node_laws
+    out = {}
+    for idx in itertools.product(*(range(len(v)) for v, _ in laws)):
+        w = laws[0][1][idx[0]]
+        for i, j in tree.edges:
+            parent_mass = laws[i][1][idx[i]]
+            w = w * spec.edge_dists[(i, j)].weights[idx[i]][idx[j]] / parent_mass \
+                if parent_mass else F(0)
+        out[idx] = w
+    return out
+
+
+def _total(ref: dict, keep) -> F:
+    return sum((w for idx, w in ref.items() if keep(idx)), F(0))
+
+
+def test_table_queries_match_enumeration_on_relabelled_trees():
+    rng = random.Random(71)
+    parent_above = reordered = zero_states = 0
+    for _ in range(60):
+        spec = _relabelled_spec(rng)
+        tree, laws = spec.tree, spec.node_laws
+        d = tree.node_count
+        parent_above += any(i > j for i, j in tree.edges)
+        reordered += tree.level_order() != tuple(range(d))
+        zero_states += any(w == 0 for _, m in laws for w in m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            joint = markov_joint(tree, spec.edge_dists)
+        ref = _enumerate(spec)
+        assert dict(joint.mass) == {idx: w for idx, w in ref.items() if w > 0}
+        assert joint.cell_count() == len(ref)
+
+        for _ in range(4):
+            t = [rng.choice(v) + rng.choice((-1, 0, F(1, 2))) for v, _ in laws]
+            strict = [rng.random() < 0.5 for _ in range(d)]
+            below = [
+                lambda i, n=n: (laws[n][0][i] < t[n]) if strict[n] else (laws[n][0][i] <= t[n])
+                for n in range(d)
+            ]
+            want = _total(ref, lambda idx: all(below[n](i) for n, i in enumerate(idx)))
+            assert joint.orthant_prob(t, strict) == want
+            want = _total(ref, lambda idx: all(laws[n][0][i] <= t[n] for n, i in enumerate(idx)))
+            assert joint.orthant_prob(t) == want
+
+        for i, j in itertools.product(range(d), repeat=2):
+            want = [[F(0)] * len(laws[j][0]) for _ in laws[i][0]]
+            for idx, w in ref.items():
+                want[idx[i]][idx[j]] += w
+            biv = joint.bivariate(i, j)
+            assert biv.weights == tuple(map(tuple, want))
+            assert (biv.row_values, biv.col_values) == (laws[i][0], laws[j][0])
+            if i == j:
+                assert joint.marginal(i) == tuple(want[k][k] for k in range(len(want)))
+        kept = sorted(rng.sample(range(d), rng.randint(1, d)))
+        want = {}
+        for idx, w in ref.items():
+            cell = tuple(idx[n] for n in kept)
+            want[cell] = want.get(cell, F(0)) + w
+        sub = joint.marginalize(kept[::-1])
+        assert sub.supports == tuple(laws[n][0] for n in kept)
+        assert dict(sub.mass) == {cell: w for cell, w in want.items() if w > 0}
+        prod = joint.product_of_marginals()
+        for idx in ref:
+            want = F(1)
+            for n, i in enumerate(idx):
+                want *= laws[n][1][i]
+            assert prod.mass.get(idx, F(0)) == want
+    assert parent_above >= 20 and reordered >= 20 and zero_states >= 20
+
+
+def test_table_and_mapping_constructors_agree():
+    supports = ((0, 1), (5, 6, 7))
+    mass = {(0, 0): F(1, 6), (1, 2): F(1, 2), (0, 1): F(1, 3), (1, 1): F(0)}
+    joint = DiscreteJoint(supports, mass)
+    assert joint.den == 6
+    assert joint.table.tolist() == [[1, 2, 0], [0, 0, 3]]
+    assert dict(joint.mass) == {k: w for k, w in mass.items() if w}
+    assert DiscreteJoint.from_table(supports, [[2, 4, 0], [0, 0, 6]], 12) == joint
+    assert DiscreteJoint.from_table(list(supports), joint.table, joint.den).mass == joint.mass
+    assert (1, 0) not in joint.mass and (2, 0) not in joint.mass
+    assert (-1, -1) not in joint.mass and (0,) not in joint.mass
+
+
+def test_table_constructor_rejects_malformed_tables():
+    supports = ((0, 1), (0, 1))
+    with pytest.raises(DiscreteError, match="shape"):
+        DiscreteJoint.from_table(supports, [[1, 1, 0], [1, 1, 0]], 4)
+    with pytest.raises(DiscreteError, match="shape"):
+        DiscreteJoint.from_table(supports, [1, 1, 1, 1], 4)
+    with pytest.raises(DiscreteError, match="nonnegative"):
+        DiscreteJoint.from_table(supports, [[3, -1], [1, 1]], 4)
+    with pytest.raises(DiscreteError, match="total mass is 5/4"):
+        DiscreteJoint.from_table(supports, [[2, 1], [1, 1]], 4)
+    with pytest.raises(DiscreteError, match="integers"):
+        DiscreteJoint.from_table(supports, [[F(1, 2), 1], [1, 1]], 4)
+    with pytest.raises(DiscreteError, match="positive"):
+        DiscreteJoint.from_table(supports, [[0, 0], [0, 0]], 0)
+
+
+def test_joint_is_read_only():
+    joint = uniform_product_joint()
+    with pytest.raises(TypeError):
+        joint.mass[(0, 0)] = F(1)
+    with pytest.raises(ValueError):
+        joint.table[0, 0] = 0
+    with pytest.raises(AttributeError):
+        joint.den = 1
+    clone = pickle.loads(pickle.dumps(joint))
+    assert clone == joint and not clone.table.flags.writeable
+
+
+def test_cell_limit_refuses_large_grids_at_once():
+    diagonal = DiscreteBivariate.from_rows(
+        [[F(1, 4) if r == c else 0 for c in range(4)] for r in range(4)]
+    )
+    start = time.perf_counter()
+    with pytest.raises(DiscreteError, match=f"{4**30} cells.*limit of {MAX_CELLS}"):
+        markov_joint(make_chain(29), {(k, k + 1): diagonal for k in range(29)})
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(DiscreteError, match=f"{2**21} cells"):
+        DiscreteJoint(((0, 1),) * 21, {(0,) * 21: F(1)})
+    assert MAX_CELLS >= 3**12
+
+
+def test_3_to_the_12_chain_is_admitted():
+    third = F(1, 3)
+    uniform = DiscreteBivariate.from_rows([[third * third] * 3] * 3)
+    joint = markov_joint(make_chain(11), {(k, k + 1): uniform for k in range(11)})
+    assert joint.cell_count() == 3**12
+    assert joint.orthant_prob((0,) * 12) == third**12
+    assert joint.orthant_prob((1,) * 12, strict=[True] * 11 + [False]) == third**11 * 2 / 3
+
+
+def test_node_index_errors_name_node_and_dimension(chain3_matrices):
+    a01, a12, _, _ = chain3_matrices
+    joint = markov_joint(make_chain(2), {(0, 1): a01, (1, 2): a12})
+    with pytest.raises(DiscreteError, match="node 3.*dimension 3"):
+        joint.marginalize([0, 3])
+    with pytest.raises(DiscreteError, match="node -1.*dimension 3"):
+        joint.marginalize([-1])
+    with pytest.raises(DiscreteError, match="node 5.*dimension 3"):
+        joint.bivariate(0, 5)
+    with pytest.raises(DiscreteError, match="node -1.*dimension 3"):
+        joint.bivariate(-1, 2)
+    with pytest.raises(DiscreteError, match="node 3.*dimension 3"):
+        joint.marginal(3)
+
+
+def test_bivariate_of_a_node_with_itself_is_diagonal(chain3_matrices):
+    a01, a12, _, _ = chain3_matrices
+    joint = markov_joint(make_chain(2), {(0, 1): a01, (1, 2): a12})
+    biv = joint.bivariate(1, 1)
+    marg = joint.marginal(1)
+    assert biv.weights == tuple(
+        tuple(marg[r] if r == c else F(0) for c in range(3)) for r in range(3)
+    )
+    assert biv.row_values == biv.col_values == joint.supports[1]
 
 
 def test_parse_matrix_text():
