@@ -51,7 +51,7 @@ def load_spec(path: str):
         raise InputError(f"{path}: missing 'tree' section")
     if not isinstance(obj["tree"], dict) or not {"nodes", "edges"} <= obj["tree"].keys():
         raise InputError(f"{path}: 'tree' needs 'nodes' and 'edges'")
-    tree = parse_tree_json(obj["tree"]).tree
+    tree = parse_tree_json(obj["tree"])
     if "matrices" in obj:
         dists = {}
         for i, j, mpath in _edge_triples(path, obj, "matrices"):

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._csv import write_csv
 from .copulas import (
     BivariateCopula,
     Clayton,
@@ -192,8 +193,7 @@ class BandResult:
         rows = np.column_stack(
             [self.t_grid, self.lower_ecdf, self.upper_ecdf, self.mc_halfwidth]
         )
-        np.savetxt(path, rows, delimiter=",", comments="", fmt="%.17g",
-                   header="t,lower,upper,mc_halfwidth")
+        write_csv(path, "t,lower,upper,mc_halfwidth", rows)
 
 
 def _halfwidth(p: np.ndarray, n: int) -> np.ndarray:

@@ -115,18 +115,9 @@ def mtp2_check(biv: DiscreteBivariate) -> bool:
 # -- orthant orders -----------------------------------------------------------
 
 
-def _integer_table(joint: DiscreteJoint, den: int, pad: bool) -> np.ndarray:
-    """Mass numerators over ``den``, a multiple of ``joint.den``, on the support grid.
-
-    A padded table has an empty last slot per axis, filled in by slice
-    assignment because ``np.pad`` overflows on big object ints.
-    """
-    arr = joint.table * (den // joint.den)
-    if not pad:
-        return arr
-    padded = np.zeros(tuple(k + 1 for k in arr.shape), dtype=object)
-    padded[tuple(slice(0, k) for k in arr.shape)] = arr
-    return padded
+def _integer_table(joint: DiscreteJoint, den: int) -> np.ndarray:
+    """Mass numerators over ``den``, a multiple of ``joint.den``, on the support grid."""
+    return joint.table * (den // joint.den)
 
 
 def _check_same_supports(jx: DiscreteJoint, jy: DiscreteJoint) -> None:
@@ -159,26 +150,28 @@ def uo_check(jx: DiscreteJoint, jy: DiscreteJoint) -> OrderReport:
     """Upper orthant order: survival functions pointwise ordered, exactly.
 
     Thresholds strictly below a coordinate's support matter here (they drop
-    that coordinate's constraint), so each axis carries an extra slot.
+    that coordinate's constraint); a witness coordinate -inf stands for one.
     """
     return _orthant_check("uo", jx, jy)
 
 
 def _orthant_check(relation: str, jx: DiscreteJoint, jy: DiscreteJoint) -> OrderReport:
-    """Compare cdf tables (``lo``) or padded survival tables (``uo``).
+    """Compare cdf tables (``lo``) or survival tables (``uo``).
 
     On a survival table, entry c on an axis encodes the strict threshold
     support[c-1] (c = 0 means a threshold below the whole support, i.e. no
-    constraint), so the entry is P(X_n > support[c_n - 1] for all n).  Both
-    tables hold integer numerators over one common denominator, the lcm of
-    the two joints' denominators.
+    constraint), so the entry is P(X_n > support[c_n - 1] for all n).  The
+    threshold at the top of the support needs no entry: P(X_n > max) is 0 in
+    both tables, so it can never show a violation.  Both tables hold integer
+    numerators over one common denominator, the lcm of the two joints'
+    denominators.
     """
     _check_same_supports(jx, jy)
     upper = relation == "uo"
     den = math.lcm(jx.den, jy.den)
     tables = []
     for joint in (jx, jy):
-        arr = _integer_table(joint, den, pad=upper)
+        arr = _integer_table(joint, den)
         for axis in range(arr.ndim):
             if upper:
                 arr = np.flip(np.cumsum(np.flip(arr, axis), axis), axis)
@@ -209,7 +202,7 @@ def _supermodular_program(jx: DiscreteJoint, jy: DiscreteJoint):
     var = {c: i for i, c in enumerate(cells)}
     n = len(cells)
     den = math.lcm(jx.den, jy.den)
-    diff = _integer_table(jy, den, pad=False) - _integer_table(jx, den, pad=False)
+    diff = _integer_table(jy, den) - _integer_table(jx, den)
     c_vec = [Fraction(v, den) for v in diff.flat]
 
     a_rows: list[list[Fraction]] = []

@@ -22,6 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._csv import write_csv
 from .copulas import BivariateCopula, HInversionError
 from .marginals import Marginal
 from .trees import DirectedTree, TreeError
@@ -97,8 +98,7 @@ class SampleBatch:
 
     def to_csv(self, path) -> None:
         header = ",".join(f"node_{i}" for i in range(self.data.shape[1]))
-        np.savetxt(path, self.data, delimiter=",", header=header,
-                   comments="", fmt="%.17g")
+        write_csv(path, header, self.data)
 
     def to_binary(self, path) -> None:
         with open(path, "wb") as fh:

@@ -330,14 +330,12 @@ def parse_tree_text(text: str, root=None) -> LabeledTree:
     return relabel(edges, root=root)
 
 
-def parse_tree_json(obj) -> LabeledTree:
+def parse_tree_json(obj) -> DirectedTree:
     """Parse ``{"nodes": d+1, "edges": [[i, j], ...]}`` (dense labels)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    node_count = int(obj["nodes"])
     edges = [(int(i), int(j)) for i, j in obj["edges"]]
-    tree = DirectedTree(node_count, edges)
-    return LabeledTree(tree, list(range(node_count)))
+    return DirectedTree(int(obj["nodes"]), edges)
 
 
 def tree_to_json(tree: DirectedTree) -> dict:

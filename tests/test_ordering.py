@@ -163,6 +163,44 @@ def test_lo_uo_gaps_exact_with_large_coprime_denominators():
     assert seen == {"lo", "uo"}
 
 
+def _random_chain(rng: random.Random, sizes, marginals=None) -> DiscreteJoint:
+    m = marginals or [random_marginal(rng, s) for s in sizes]
+    edges = {(i, i + 1): random_coupling(rng, m[i], m[i + 1], moves=rng.randint(0, 8))
+             for i in range(len(sizes) - 1)}
+    return markov_joint(make_chain(len(sizes) - 1), edges)
+
+
+def test_uo_matches_brute_force_survival_on_chains():
+    rng = random.Random(53)
+    below_support = set()
+    for trial in range(40):
+        sizes = [rng.randint(2, 3) for _ in range(rng.randint(2, 4))]
+        shared = [random_marginal(rng, s) for s in sizes] if trial % 2 else None
+        jx, jy = _random_chain(rng, sizes, shared), _random_chain(rng, sizes, shared)
+        grids = [[float("-inf")] + list(s) for s in jx.supports]
+        gaps = {t: survival(jx, t) - survival(jy, t) for t in itertools.product(*grids)}
+        worst = max(gaps.values())
+        report = uo_check(jx, jy)
+        assert report.holds == (worst <= 0)
+        if report.holds is False:
+            assert report.details["gap"] == worst == gaps[report.witness]
+            below_support.add(float("-inf") in report.witness)
+    assert below_support == {True, False}
+
+
+def test_uo_witness_below_the_support():
+    # node 0 is the same fair coin in both; node 1 is more likely high under X,
+    # so the widest survival gap drops node 0's constraint
+    coin = (F(1, 2), F(1, 2))
+    x = markov_joint(make_chain(1), {(0, 1): random_coupling(random.Random(0), coin, coin, 0)})
+    low = (F(3, 4), F(1, 4))
+    y = markov_joint(make_chain(1), {(0, 1): random_coupling(random.Random(0), coin, low, 0)})
+    report = uo_check(x, y)
+    assert report.holds is False
+    assert report.witness == (float("-inf"), 0)
+    assert report.details["gap"] == F(1, 4)
+
+
 # -- supermodular LP oracle ------------------------------------------------------
 
 

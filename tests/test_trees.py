@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -156,8 +157,8 @@ def test_text_and_json_io(branchy, tmp_path):
     assert parsed.labels == branchy.labels
 
     blob = tree_to_json(make_chain(2))
-    again = parse_tree_json(blob)
-    assert again.tree == make_chain(2)
+    assert parse_tree_json(blob) == make_chain(2)
+    assert parse_tree_json(json.dumps(blob)) == make_chain(2)
 
     with pytest.raises(TreeError):
         parse_tree_text("0 1 2")
