@@ -32,12 +32,19 @@ class DependenceFlags:
 
 
 def _unit(x, name: str, open_interval: bool = False):
+    """``x`` as a float array, checked to lie in (0,1) or [0,1]; NaN fails.
+
+    Two reductions and no temporaries: a NaN makes the min and max NaN, and
+    every comparison with NaN is false.
+    """
     x = np.asarray(x, dtype=float)
-    if open_interval:
-        if np.any((x <= 0.0) | (x >= 1.0)):
-            raise CopulaError(f"{name} must lie in the open interval (0,1)")
-    elif np.any((x < 0.0) | (x > 1.0)):
-        raise CopulaError(f"{name} must lie in [0,1]")
+    if x.size:
+        lo, hi = x.min(), x.max()
+        if open_interval:
+            if not (0.0 < lo and hi < 1.0):
+                raise CopulaError(f"{name} must lie in the open interval (0,1)")
+        elif not (0.0 <= lo and hi <= 1.0):
+            raise CopulaError(f"{name} must lie in [0,1]")
     return x
 
 

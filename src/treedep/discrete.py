@@ -43,12 +43,17 @@ def _frac(x) -> Fraction:
 class DiscreteBivariate:
     """Joint law of a pair on a finite grid, with exact weights.
 
-    ``weights[r][c]`` is P[U = row_values[r], V = col_values[c]].
+    ``weights[r][c]`` is P[U = row_values[r], V = col_values[c]]; each weight
+    is an ``int`` or a :class:`fractions.Fraction`.  The weights are checked
+    once, as integer numerators over their lcm, which also give both
+    marginals.
     """
 
     weights: tuple[tuple[Fraction, ...], ...]
     row_values: tuple
     col_values: tuple
+    _numerators: tuple = field(init=False, repr=False, compare=False)
+    _marginals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.weights:
@@ -61,14 +66,21 @@ class DiscreteBivariate:
         for vals in (self.row_values, self.col_values):
             if list(vals) != sorted(vals) or len(set(vals)) != len(vals):
                 raise DiscreteError("support values must be sorted and distinct")
-        total = Fraction(0)
-        for row in self.weights:
-            for w in row:
-                if w < 0:
-                    raise DiscreteError("weights must be nonnegative")
-                total += w
-        if total != 1:
-            raise DiscreteError(f"total mass is {total}, expected 1")
+        flat = [w for row in self.weights for w in row]
+        bad = [w for w in flat if not isinstance(w, (int, Fraction))]
+        if bad:
+            raise DiscreteError(f"weight {bad[0]!r} is not an int or a Fraction")
+        den = math.lcm(*(w.denominator for w in flat))
+        nums = [w.numerator * (den // w.denominator) for w in flat]
+        if any(x < 0 for x in nums):
+            raise DiscreteError("weights must be nonnegative")
+        _check_total(sum(nums), den)
+        rows = tuple(tuple(nums[i:i + ncols]) for i in range(0, len(nums), ncols))
+        sums = ([sum(row) for row in rows], [sum(nums[j::ncols]) for j in range(ncols)])
+        object.__setattr__(self, "_numerators", rows)
+        object.__setattr__(self, "_marginals", tuple(
+            tuple(Fraction(x, den) for x in margin) for margin in sums
+        ))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], row_values=None, col_values=None):
@@ -79,10 +91,24 @@ class DiscreteBivariate:
         return cls(w, rv, cv)
 
     def row_marginal(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.weights)
+        return self._marginals[0]
 
     def col_marginal(self) -> tuple[Fraction, ...]:
-        return tuple(sum(col, Fraction(0)) for col in zip(*self.weights))
+        return self._marginals[1]
+
+    def _conditional_table(self) -> tuple[np.ndarray, int]:
+        """Numerators of w(r, c) / m(r) over their lcm, as object ints.
+
+        A zero-mass row r gets zeros.  In lowest terms row r is its integer
+        weights over their row sum, both divided by the row's gcd.
+        """
+        reduced = []
+        for row in self._numerators:
+            g = math.gcd(*row)
+            reduced.append(([x // g for x in row], sum(row) // g) if g else (row, 1))
+        lcm = math.lcm(*(d for _, d in reduced))
+        table = np.array([[x * (lcm // d) for x in row] for row, d in reduced], dtype=object)
+        return table, lcm
 
     def conditional(self, given_row: int) -> tuple[Fraction, ...]:
         """Conditional law of the column variable given row index ``given_row``."""
@@ -378,14 +404,13 @@ def markov_joint(
 
     # broadcast product in level order: the root marginal's numerators, then
     # each edge's conditional w(i,j)/m_parent(i) over its lcm on the (parent,
-    # child) axes; zero-mass parent rows get 0
+    # child) axes; zero-mass parent rows get 0.  The spec made the edge's row
+    # marginal the parent's law.
     table, den = _over_lcm(laws[0][1])
     table = table.reshape(shape[:1] + (1,) * (len(shape) - 1))
     for node in tree.level_order()[1:]:
         parent = tree.parent(node)
-        rows = zip(laws[parent][1], edge_dists[(parent, node)].weights)
-        cond, lcm = _over_lcm([w / m if m else Fraction(0) for m, row in rows for w in row])
-        cond = cond.reshape(shape[parent], shape[node])
+        cond, lcm = edge_dists[(parent, node)]._conditional_table()
         axes = [1] * len(shape)
         axes[parent], axes[node] = shape[parent], shape[node]
         table = table * (cond if parent < node else cond.T).reshape(axes)

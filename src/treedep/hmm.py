@@ -176,7 +176,8 @@ class BandResult:
     ``lower_ecdf`` is the most-perturbed scenario (noise at its bound), the
     lower-lying curve; ``upper_ecdf`` is the noise-free walk, which
     stochastically dominates from below and so has the upper-lying CDF.
-    ``mc_halfwidth`` is the sum of both curves' 3-sigma binomial half-widths.
+    ``mc_halfwidth`` is the sum of both curves' 3-sigma binomial half-widths;
+    it is computed from the curves when not given.
     """
 
     t_grid: np.ndarray
@@ -185,6 +186,11 @@ class BandResult:
     n_samples: int
     seed: int
     mc_halfwidth: np.ndarray = field(default=None)
+
+    def __post_init__(self):
+        if self.mc_halfwidth is None:
+            self.mc_halfwidth = (_halfwidth(self.lower_ecdf, self.n_samples)
+                                 + _halfwidth(self.upper_ecdf, self.n_samples))
 
     def width(self) -> np.ndarray:
         return self.upper_ecdf - self.lower_ecdf
@@ -219,8 +225,7 @@ def uncertainty_band(
         build_spec(d, family, np.zeros_like(sigma_bar)), n_samples, seed,
         t_grid, workers,
     )
-    hw = _halfwidth(lower, n_samples) + _halfwidth(upper, n_samples)
-    return BandResult(t_grid, lower, upper, n_samples, seed, hw)
+    return BandResult(t_grid, lower, upper, n_samples, seed)
 
 
 def ambiguity_membership(

@@ -61,8 +61,9 @@ class Marginal:
         raise NotImplementedError
 
     def _validate_prob(self, t):
+        # min and max are NaN if any entry is, and NaN fails both comparisons
         t = np.asarray(t, dtype=float)
-        if np.any((t <= 0.0) | (t >= 1.0)):
+        if t.size and not (0.0 < t.min() and t.max() < 1.0):
             raise MarginalError("quantile argument must lie in (0,1)")
         return t
 

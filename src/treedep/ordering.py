@@ -205,8 +205,9 @@ def _supermodular_program(jx: DiscreteJoint, jy: DiscreteJoint):
     diff = _integer_table(jy, den) - _integer_table(jx, den)
     c_vec = [Fraction(v, den) for v in diff.flat]
 
-    a_rows: list[list[Fraction]] = []
-    zero = Fraction(0)
+    # constraint rows are plain ints (-1/0/+1, right-hand sides 0/1), which
+    # the simplex takes over denominator 1
+    a_rows: list[list[int]] = []
     for alpha, beta in itertools.combinations(range(len(shape)), 2):
         for cell in cells:
             if cell[alpha] + 1 >= shape[alpha] or cell[beta] + 1 >= shape[beta]:
@@ -217,7 +218,7 @@ def _supermodular_program(jx: DiscreteJoint, jy: DiscreteJoint):
             up_b[beta] += 1
             up_ab = list(up_a)
             up_ab[beta] += 1
-            row = [zero] * n
+            row = [0] * n
             # f(x) + f(x+ea+eb) >= f(x+ea) + f(x+eb), written as <= 0
             row[var[cell]] -= 1
             row[var[tuple(up_ab)]] -= 1
@@ -226,10 +227,10 @@ def _supermodular_program(jx: DiscreteJoint, jy: DiscreteJoint):
             a_rows.append(row)
     n_sm = len(a_rows)
     for i in range(n):
-        row = [zero] * n
-        row[i] = Fraction(1)
+        row = [0] * n
+        row[i] = 1
         a_rows.append(row)
-    b = [zero] * n_sm + [Fraction(1)] * n
+    b = [0] * n_sm + [1] * n
     return cells, c_vec, a_rows, b
 
 

@@ -104,7 +104,9 @@ class SampleBatch:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<QQ", *self.data.shape))
-            fh.write(self.data.astype("<f8").tobytes())
+            # the table's own buffer when it already is C-ordered little-endian
+            # float64; a converted copy only otherwise
+            fh.write(np.ascontiguousarray(self.data, dtype="<f8").data)
 
 
 def load_binary(path) -> np.ndarray:

@@ -27,8 +27,13 @@ class SimplexError(RuntimeError):
     """Raised on unbounded or structurally invalid programs."""
 
 
-def _integer_row(values) -> tuple[list[int], int]:
-    """Numerators of the rationals ``values`` over their least common denominator."""
+def _integer_row(values: list) -> tuple[list[int], int]:
+    """Numerators of the rationals ``values`` over their least common denominator.
+
+    ``values`` is a fresh list: an all-``int`` row is returned as it is, over 1.
+    """
+    if set(map(type, values)) == {int}:
+        return values, 1
     fracs = [v if type(v) is Fraction else Fraction(v) for v in values]
     dens = [v.denominator for v in fracs]
     den = lcm(*dens)
@@ -56,15 +61,17 @@ def _divide_out(row: list[int], den: int) -> tuple[list[int], int]:
 
 
 def solve_lp_min(
-    c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]],
-    b_ub: Sequence[Fraction],
+    c: Sequence[Fraction | int],
+    a_ub: Sequence[Sequence[Fraction | int]],
+    b_ub: Sequence[Fraction | int],
     max_pivots: int | None = None,
 ) -> tuple[Fraction, list[Fraction]]:
     """Exact optimum of  min c.x  s.t.  A x <= b, x >= 0  (b >= 0).
 
-    Returns ``(value, x)``.  Raises :class:`SimplexError` if the program is
-    unbounded or the pivot budget is exhausted.
+    Entries may be ints, Fractions or anything ``Fraction()`` accepts; rows
+    of plain ints go into the tableau as they are.  Returns ``(value, x)``
+    as Fractions whatever the input types.  Raises :class:`SimplexError` if
+    the program is unbounded or the pivot budget is exhausted.
     """
     n = len(c)
     m = len(a_ub)
@@ -82,7 +89,7 @@ def solve_lp_min(
         row[n + i] = den
         rows.append(row)
     # objective row: reduced costs and minus the value, over obj_den
-    nums, obj_den = _integer_row(c)
+    nums, obj_den = _integer_row([*c])
     obj = nums + [0] * (m + 1)
     basis = list(range(n, n + m))
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treedep.cli import main
@@ -255,3 +256,25 @@ def test_h_inversion_failure_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
     assert "edge (0,1)" in err
+
+
+def _nan_h_inv(self, u, p):
+    return np.full(np.broadcast(u, p).shape, np.nan)
+
+
+def test_nan_from_an_edge_exits_2(tmp_path, capsys, monkeypatch):
+    # a copula whose inverse breaks down into NaN must not leak NaN rows
+    # into the output: the next unit-interval check refuses them
+    monkeypatch.setattr(Gaussian, "h_inv", _nan_h_inv)
+    out = tmp_path / "b.csv"
+    code = main(["band", "--steps", "3", "--samples", "50", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err and "(0,1)" in err
+    spec = write_spec(tmp_path / "spec.json",
+                      [[0, 1, "gaussian(0.5)"], [1, 2, "clayton(2.0)"]])
+    out = tmp_path / "s.csv"
+    code = main(["sample", spec, "--samples", "10", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err and "(0,1)" in err

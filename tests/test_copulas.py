@@ -277,3 +277,32 @@ def test_parse_copula():
         assert str(c) == text
     with pytest.raises(CopulaError):
         parse_copula("frank(3)")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("cop", [Gaussian(0.5), Clayton(2.0), SurvivalClayton(2.0),
+                                 Independence(), Comonotone()])
+def test_unit_arguments_reject_nan(cop):
+    u = np.array([0.2, NAN, 0.7])
+    with pytest.raises(CopulaError, match=r"\(0,1\)"):
+        cop.h_inv(u, 0.5)
+    with pytest.raises(CopulaError, match=r"\(0,1\)"):
+        cop.h_inv(0.2, NAN)
+    with pytest.raises(CopulaError, match=r"\[0,1\]"):
+        cop.cdf(NAN, 0.3)
+    with pytest.raises(CopulaError, match=r"\[0,1\]"):
+        cop.h(0.4, np.array([0.3, NAN]))
+    # empty arrays pass the checks; closed-interval ends are admitted
+    assert cop.h_inv(np.array([]), 0.5).shape == (0,)
+    assert np.allclose(cop.cdf(np.array([0.0, 1.0]), 1.0), [0.0, 1.0])
+
+
+def test_gaussian_and_clayton_named_nan_cases():
+    with pytest.raises(CopulaError):
+        Gaussian(0.5).h_inv(NAN, 0.5)
+    with pytest.raises(CopulaError):
+        Clayton(2).h_inv(0.2, NAN)
+    with pytest.raises(CopulaError):
+        Gaussian(0.5).cdf(NAN, 0.3)

@@ -5,6 +5,7 @@ import time
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from treedep.discrete import (
@@ -527,3 +528,87 @@ def test_random_joint_total_mass():
         biv = random_bivariate(rng, rng.randint(2, 4))
         assert sum(biv.row_marginal()) == 1
         assert sum(biv.col_marginal()) == 1
+
+
+def _random_weights(rng: random.Random, k: int, m: int, big: bool) -> list[list]:
+    """Random k x m law with some zero cells, as Fractions (ints where whole).
+
+    With ``big`` the cells have distinct prime-power denominators whose lcm
+    is far past 2**64.
+    """
+    dens = [rng.choice((3, 7, 2**61 - 1, 10**19 + 51, 5**30)) if big else rng.randint(1, 9)
+            for _ in range(k * m)]
+    cells = [F(rng.choice((0, 1, 2, 5)), d) for d in dens]
+    if not any(cells):
+        cells[rng.randrange(len(cells))] = F(1)
+    total = sum(cells, F(0))
+    cells = [c / total for c in cells]
+    cells = [int(c) if c.denominator == 1 else c for c in cells]
+    return [cells[r * m:(r + 1) * m] for r in range(k)]
+
+
+def test_bivariate_marginals_match_fraction_sums():
+    rng = random.Random(83)
+    kinds = {"zero_cell": 0, "int_weight": 0, "past_2_64": 0}
+    for trial in range(120):
+        k, m = rng.randint(1, 4), rng.randint(1, 4)
+        w = _random_weights(rng, k, m, big=trial % 3 == 0)
+        biv = DiscreteBivariate(tuple(map(tuple, w)), tuple(range(k)), tuple(range(m)))
+        flat = [x for row in w for x in row]
+        kinds["zero_cell"] += 0 in flat
+        kinds["int_weight"] += any(type(x) is int for x in flat)
+        kinds["past_2_64"] += max(F(x).denominator for x in flat) > 2**64
+        assert biv.row_marginal() == tuple(sum(row, F(0)) for row in w)
+        assert biv.col_marginal() == tuple(sum(col, F(0)) for col in zip(*w))
+        assert all(type(x) is F for x in biv.row_marginal() + biv.col_marginal())
+        assert biv.weights == tuple(map(tuple, w))
+        # scaling one cell breaks the total, and the check sees it exactly
+        r, c = rng.randrange(k), rng.randrange(m)
+        bumped = [list(row) for row in w]
+        bumped[r][c] = F(bumped[r][c]) + F(1, 2**70)
+        with pytest.raises(DiscreteError, match="total mass"):
+            DiscreteBivariate(tuple(map(tuple, bumped)), biv.row_values, biv.col_values)
+    assert all(kinds.values()), kinds
+
+
+def test_bivariate_int_weights_and_zero_rows():
+    biv = DiscreteBivariate(((0, 0), (1, 0)), (0, 1), (0, 1))
+    assert biv.row_marginal() == (0, 1) and biv.col_marginal() == (1, 0)
+    assert biv.product_of_marginals().weights == ((0, 0), (1, 0))
+    with pytest.raises(DiscreteError, match="conditioning row 0"):
+        biv.conditional(0)
+    assert biv.conditional(1) == (1, 0)
+
+
+@pytest.mark.parametrize("bad", [0.25, np.float64(0.25), "1/4", None])
+def test_bivariate_rejects_weights_that_are_not_int_or_fraction(bad):
+    with pytest.raises(DiscreteError, match="not an int or a Fraction"):
+        DiscreteBivariate(((bad, F(1, 4)), (F(1, 4), F(1, 4))), (0, 1), (0, 1))
+    # the builders keep converting strings and floats
+    assert DiscreteBivariate.from_rows([["1/4", 0.25], [F(1, 4), "0.25"]]).weights == \
+        ((F(1, 4),) * 2,) * 2
+
+
+def test_markov_joint_matches_fraction_chain_reference():
+    rng = random.Random(89)
+    zero_rows = 0
+    for trial in range(40):
+        nodes = rng.randint(2, 5)
+        laws = []
+        for _ in range(nodes):
+            raw = [rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(2, 3))]
+            raw[rng.randrange(len(raw))] += 1
+            laws.append([F(x, sum(raw)) for x in raw])
+        zero_rows += any(x == 0 for law in laws[:-1] for x in law)
+        edges = {(n, n + 1): random_coupling(rng, laws[n], laws[n + 1])
+                 for n in range(nodes - 1)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            joint = markov_joint(make_chain(nodes - 1), edges)
+        for idx in itertools.product(*(range(len(law)) for law in laws)):
+            want = laws[0][idx[0]]
+            for n in range(nodes - 1):
+                m = laws[n][idx[n]]
+                want *= edges[(n, n + 1)].weights[idx[n]][idx[n + 1]] / m if m else 0
+            assert F(int(joint.table[idx]), joint.den) == want
+    assert zero_rows

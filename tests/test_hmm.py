@@ -7,6 +7,7 @@ from scipy.special import ndtr
 
 from treedep.copulas import Clayton, Comonotone, Gaussian, Independence, SurvivalClayton
 from treedep.hmm import (
+    BandResult,
     WalkError,
     ambiguity_membership,
     build_spec,
@@ -207,3 +208,19 @@ def test_ambiguity_membership():
         Normal(0, n + 1.0), SurvivalClayton(theta_low + 1.0), n, sbar,
         anchor_family="sclayton",
     )
+
+
+def test_band_result_fills_in_mc_halfwidth(tmp_path):
+    t = np.array([0.0, 1.0, 2.0])
+    lower, upper = np.array([0.1, 0.5, 0.9]), np.array([0.2, 0.6, 1.0])
+    band = BandResult(t, lower, upper, 100, 0)
+    want = 3 * np.sqrt(lower * (1 - lower) / 100) + 3 * np.sqrt(upper * (1 - upper) / 100)
+    assert np.allclose(band.mc_halfwidth, want)
+    band.to_csv(tmp_path / "b.csv")
+    rows = np.loadtxt(tmp_path / "b.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows, np.column_stack([t, lower, upper, band.mc_halfwidth]))
+    # a given half-width is kept, and the library band's matches the default
+    assert BandResult(t, lower, upper, 100, 0, np.zeros(3)).mc_halfwidth.tolist() == [0] * 3
+    lib = uncertainty_band(5, "gaussian", const_schedule(0.5, 5), 500, 3)
+    again = BandResult(lib.t_grid, lib.lower_ecdf, lib.upper_ecdf, lib.n_samples, lib.seed)
+    assert np.array_equal(again.mc_halfwidth, lib.mc_halfwidth)

@@ -46,9 +46,11 @@ def test_quantile_examples():
 def test_cdf_rejects_nan_and_quantile_rejects_bounds():
     with pytest.raises(MarginalError):
         Normal(0, 1).cdf(float("nan"))
-    for bad in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(MarginalError):
-            Uniform(0, 1).quantile(bad)
+    for bad in (0.0, 1.0, -0.2, 1.3, float("nan"), [0.5, float("nan")]):
+        for m in (Uniform(0, 1), Normal(0, 1)):
+            with pytest.raises(MarginalError, match=r"\(0,1\)"):
+                m.quantile(bad)
+    assert Normal(0, 1).quantile(np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("m", FAMILIES)

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.stats import kendalltau
 from treedep.copulas import Clayton, Comonotone, Gaussian, Independence
 from treedep.marginals import DiscreteUniform, Normal, Uniform
 from treedep.sampler import (
+    SampleBatch,
     TreeSpec,
     conditional_independence_probe,
     counter_uniforms,
@@ -251,3 +253,17 @@ def test_fingerprint_tracks_spec():
     b = uniform_chain(0.31).fingerprint()
     assert a != b
     assert uniform_chain(0.3).fingerprint() == a
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "big_endian", "float32", "strided", "empty"])
+def test_binary_bytes_and_round_trip(tmp_path, layout):
+    data = sample(uniform_chain(0.3), 40, seed=9).data
+    data = {"c": data, "fortran": np.asfortranarray(data), "big_endian": data.astype(">f8"),
+            "float32": data.astype(np.float32), "strided": data[::3, ::2],
+            "empty": data[:0]}[layout]
+    path = tmp_path / "batch.bin"
+    SampleBatch(data, 9, "fp").to_binary(path)
+    header = b"TDEPSAMP" + struct.pack("<QQ", *data.shape)
+    assert path.read_bytes() == header + data.astype("<f8").tobytes()
+    loaded = load_binary(path)
+    assert loaded.dtype == np.dtype("<f8") and np.array_equal(loaded, data.astype(float))

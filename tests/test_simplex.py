@@ -129,3 +129,75 @@ def test_against_scipy_on_random_programs():
         for row, rhs in zip(a, b):
             assert sum(r * xi for r, xi in zip(row, x)) <= rhs
         assert sum(ci * xi for ci, xi in zip(c, x)) == value
+
+
+def _as_fractions(rows):
+    return [[F(v) for v in row] for row in rows]
+
+
+def _assert_same_solution(c, a, b):
+    """Int rows and the same rows as Fractions give equal (value, x), all Fractions."""
+    got = solve_lp_min(c, a, b)
+    want = solve_lp_min([F(v) for v in c], _as_fractions(a), [F(v) for v in b])
+    assert got == want
+    value, x = got
+    assert type(value) is F and all(type(v) is F for v in x)
+    return got
+
+
+def test_int_rows_match_fraction_rows_on_random_programs():
+    rng = random.Random(29)
+    for trial in range(80):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 6)
+        c = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        if trial % 4 == 0:
+            c = [int(v) for v in c]
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice((0, 0, 1, 3)) for _ in range(m)]
+        a += [[int(i == j) for j in range(n)] for i in range(n)]
+        b += [2] * n
+        _assert_same_solution(c, a, b)
+
+
+def test_int_rows_match_fraction_rows_on_beale():
+    # Beale's program with each row scaled to integers (as a Fraction row it
+    # would sit over the denominators 4 and 2); the optimum is unchanged
+    c = [F(-3, 4), F(20), F(-1, 2), F(6)]
+    a = [[1, -32, -4, 36], [1, -24, -1, 6], [0, 0, 1, 0]]
+    value, x = _assert_same_solution(c, a, [0, 0, 1])
+    assert value == F(-5, 4)
+    assert x == [F(1), F(0), F(1), F(0)]
+
+
+def test_supermodular_program_rows_are_small_ints():
+    from treedep.discrete import DiscreteJoint
+    from treedep.ordering import _supermodular_program
+
+    grid = tuple(range(3))
+    joint = DiscreteJoint((grid,) * 3, {(i, j, k): F(1, 27) for i in grid
+                                        for j in grid for k in grid})
+    cells, c_vec, a_rows, b = _supermodular_program(joint, joint)
+    n = len(cells)
+    assert len(a_rows) == 3 * 3 * 2 * 2 + n  # 3 axis pairs x 3 x 2 x 2 squares, then boxes
+    assert all(type(v) is int and v in (-1, 0, 1) for row in a_rows for v in row)
+    assert all(type(v) is int and v in (0, 1) for v in b)
+    assert all(len(row) == n for row in a_rows) and len(c_vec) == n
+
+
+def test_int_rows_match_fraction_rows_on_the_two_vertex_program():
+    from treedep.discrete import DiscreteJoint
+    from treedep.ordering import _supermodular_program
+
+    grid = tuple(range(4))
+    joint = DiscreteJoint((grid, grid), {(i, j): F(1, 16) for i in grid for j in grid})
+    _, _, a_rows, b = _supermodular_program(joint, joint)
+    c = [F(v) for v in (
+        "157/6240", "191/9984", "211/199680", "-1811/39936",
+        "-37/1664", "-389/9984", "2701/199680", "3173/66560",
+        "-313/24960", "287/24960", "-7/480", "1/64",
+        "1/104", "1/120", "0", "-7/390",
+    )]
+    value, x = _assert_same_solution(c, a_rows, b)
+    assert value == F(-7, 195)
+    assert x == [F(v) for v in (1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1)]
