@@ -23,7 +23,6 @@ from .discrete import (
     DiscreteBivariate,
     DiscreteJoint,
     DiscreteTreeSpec,
-    block_uniform_joint,
     markov_joint,
 )
 from .marginals import (
@@ -75,7 +74,6 @@ __all__ = [
     "TreeSpec",
     "Uniform",
     "audit_theorem_conditions",
-    "block_uniform_joint",
     "lo_check",
     "make_chain",
     "make_hmm_tree",

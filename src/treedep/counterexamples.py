@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as F
 
 from . import ordering
-from .discrete import DiscreteBivariate, block_uniform_joint, markov_joint
+from .discrete import DiscreteBivariate, markov_joint
 from .marginals import Dirac, Uniform, range_closure_equal
 from .trees import make_chain, make_star
 
@@ -34,9 +34,12 @@ STAR4_B01 = _mat([[4, 3, 2, 1], [5, 4, 1, 0], [1, 2, 5, 2], [0, 1, 2, 7]], 40)
 STAR4_A02 = _mat([[4, 3, 2, 1], [3, 3, 2, 2], [2, 3, 3, 2], [1, 1, 3, 5]], 40)
 STAR4_B02 = _mat([[6, 2, 2, 0], [3, 3, 1, 3], [1, 3, 4, 2], [0, 2, 3, 5]], 40)
 
-# block-uniform chain on 4 nodes: Schur-dominated edges, no orthant order
-BLOCK_A = [[F(x, 30) for x in row] for row in [[5, 2, 3], [3, 7, 0], [2, 1, 7]]]
-BLOCK_B = [[F(x, 30) for x in row] for row in [[6, 4, 0], [3, 4, 3], [1, 2, 7]]]
+# block-uniform chain on 4 nodes: Schur-dominated edges, no orthant order.
+# Each edge law is uniform inside unit blocks; supports are the block starts
+# 0, 1, 2, and the continuous law's strict orthant at block boundaries is the
+# block-index law's strict orthant.
+BLOCK_A = _mat([[5, 2, 3], [3, 7, 0], [2, 1, 7]], 30)
+BLOCK_B = _mat([[6, 4, 0], [3, 4, 3], [1, 2, 7]], 30)
 
 
 @dataclass
@@ -155,21 +158,20 @@ def range_closure_block() -> BlockReport:
 
 def block_chain_block() -> BlockReport:
     """Schur-ordered, TP2-versus-not block chain without orthant order."""
-    ax = block_uniform_joint([BLOCK_A] * 3)
-    by = block_uniform_joint([BLOCK_B] * 3)
-    px = ax.orthant_prob((2, 2, 2, 2))
-    py = by.orthant_prob((2, 2, 2, 2))
+    tree = make_chain(3)
+    ax = markov_joint(tree, {(k, k + 1): BLOCK_A for k in range(3)})
+    by = markov_joint(tree, {(k, k + 1): BLOCK_B for k in range(3)})
+    px = ax.orthant_prob((2, 2, 2, 2), strict=True)
+    py = by.orthant_prob((2, 2, 2, 2), strict=True)
     lines: list[str] = []
     ok = _expect(lines, "P_X", px, F(1259, 3000))
     ok &= _expect(lines, "P_Y", py, F(1256, 3000))
     lines.append(f"  strict orthant at 2: P_X = {_over(px, 3000)} > "
                  f"P_Y = {_over(py, 3000)}, lo: VIOLATED at (2,2,2,2)-strict")
-    a_biv = DiscreteBivariate.from_rows(BLOCK_A)
-    b_biv = DiscreteBivariate.from_rows(BLOCK_B)
-    ok &= _expect(lines, "mtp2(b)", ordering.mtp2_check(b_biv), True)
-    ok &= _expect(lines, "mtp2(a)", ordering.mtp2_check(a_biv), False)
+    ok &= _expect(lines, "mtp2(b)", ordering.mtp2_check(BLOCK_B), True)
+    ok &= _expect(lines, "mtp2(a)", ordering.mtp2_check(BLOCK_A), False)
     for direction in ("col_given_row", "row_given_col"):
-        rep = ordering.schur_leq(a_biv, b_biv, direction)
+        rep = ordering.schur_leq(BLOCK_A, BLOCK_B, direction)
         ok &= _expect(lines, f"schur {direction}", rep.holds, True)
     lines.append("  Schur-order PASS for both edge directions")
     return BlockReport("block-chain", ok, lines)

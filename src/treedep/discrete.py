@@ -1,10 +1,11 @@
 """Finite-support joint distributions in exact rational arithmetic.
 
-Bivariate building blocks, tree-factorized joints, orthant probabilities and
-block-uniform laws.  A joint is an integer table over its support grid with
-one common denominator, so its sums run in exact integer arithmetic; every
-probability it returns is a :class:`fractions.Fraction`, so counterexamples
-separated by 0.01/3 stay separated.
+Tree-factorized joints, their bivariate edge laws and orthant probabilities.
+A joint is an integer table over its support grid with one common
+denominator, so its sums run in exact integer arithmetic; a bivariate law is
+a joint with two axes.  Every probability a law returns is a
+:class:`fractions.Fraction`, so counterexamples separated by 0.01/3 stay
+separated.
 """
 
 from __future__ import annotations
@@ -39,125 +40,6 @@ def _frac(x) -> Fraction:
     raise DiscreteError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class DiscreteBivariate:
-    """Joint law of a pair on a finite grid, with exact weights.
-
-    ``weights[r][c]`` is P[U = row_values[r], V = col_values[c]]; each weight
-    is an ``int`` or a :class:`fractions.Fraction`.  The weights are checked
-    once, as integer numerators over their lcm, which also give both
-    marginals.
-    """
-
-    weights: tuple[tuple[Fraction, ...], ...]
-    row_values: tuple
-    col_values: tuple
-    _numerators: tuple = field(init=False, repr=False, compare=False)
-    _marginals: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.weights:
-            raise DiscreteError("weight matrix must be nonempty")
-        ncols = len(self.weights[0])
-        if any(len(r) != ncols for r in self.weights):
-            raise DiscreteError("weight matrix must be rectangular")
-        if len(self.row_values) != len(self.weights) or len(self.col_values) != ncols:
-            raise DiscreteError("support lengths must match the weight matrix")
-        for vals in (self.row_values, self.col_values):
-            if list(vals) != sorted(vals) or len(set(vals)) != len(vals):
-                raise DiscreteError("support values must be sorted and distinct")
-        flat = [w for row in self.weights for w in row]
-        bad = [w for w in flat if not isinstance(w, (int, Fraction))]
-        if bad:
-            raise DiscreteError(f"weight {bad[0]!r} is not an int or a Fraction")
-        den = math.lcm(*(w.denominator for w in flat))
-        nums = [w.numerator * (den // w.denominator) for w in flat]
-        if any(x < 0 for x in nums):
-            raise DiscreteError("weights must be nonnegative")
-        _check_total(sum(nums), den)
-        rows = tuple(tuple(nums[i:i + ncols]) for i in range(0, len(nums), ncols))
-        sums = ([sum(row) for row in rows], [sum(nums[j::ncols]) for j in range(ncols)])
-        object.__setattr__(self, "_numerators", rows)
-        object.__setattr__(self, "_marginals", tuple(
-            tuple(Fraction(x, den) for x in margin) for margin in sums
-        ))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable], row_values=None, col_values=None):
-        """Build from any nested iterable of rationals/ints/strings."""
-        w = tuple(tuple(_frac(x) for x in row) for row in rows)
-        rv = tuple(row_values) if row_values is not None else tuple(range(len(w)))
-        cv = tuple(col_values) if col_values is not None else tuple(range(len(w[0])))
-        return cls(w, rv, cv)
-
-    def row_marginal(self) -> tuple[Fraction, ...]:
-        return self._marginals[0]
-
-    def col_marginal(self) -> tuple[Fraction, ...]:
-        return self._marginals[1]
-
-    def _conditional_table(self) -> tuple[np.ndarray, int]:
-        """Numerators of w(r, c) / m(r) over their lcm, as object ints.
-
-        A zero-mass row r gets zeros.  In lowest terms row r is its integer
-        weights over their row sum, both divided by the row's gcd.
-        """
-        reduced = []
-        for row in self._numerators:
-            g = math.gcd(*row)
-            reduced.append(([x // g for x in row], sum(row) // g) if g else (row, 1))
-        lcm = math.lcm(*(d for _, d in reduced))
-        table = np.array([[x * (lcm // d) for x in row] for row, d in reduced], dtype=object)
-        return table, lcm
-
-    def conditional(self, given_row: int) -> tuple[Fraction, ...]:
-        """Conditional law of the column variable given row index ``given_row``."""
-        mass = self.row_marginal()[given_row]
-        if mass == 0:
-            raise DiscreteError(f"conditioning row {given_row} has zero mass")
-        return tuple(w / mass for w in self.weights[given_row])
-
-    def transpose(self) -> "DiscreteBivariate":
-        return DiscreteBivariate(
-            tuple(zip(*self.weights)), self.col_values, self.row_values
-        )
-
-    def product_of_marginals(self) -> "DiscreteBivariate":
-        rm, cm = self.row_marginal(), self.col_marginal()
-        return DiscreteBivariate(
-            tuple(tuple(r * c for c in cm) for r in rm), self.row_values, self.col_values
-        )
-
-
-def parse_matrix_text(text: str) -> DiscreteBivariate:
-    """Parse a plain-text matrix: one row per line, entries '4/30' or '0.1'.
-
-    Optional directives ``# rows: v1 v2 ...`` / ``# cols: ...`` set supports;
-    they default to 0..k-1.
-    """
-    rows = []
-    row_values = col_values = None
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            for key in ("rows", "cols"):
-                if body.lower().startswith(key + ":"):
-                    vals = tuple(_frac(v) for v in body.split(":", 1)[1].split())
-                    if key == "rows":
-                        row_values = vals
-                    else:
-                        col_values = vals
-            continue
-        line = stripped.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append([Fraction(tok) for tok in line.split()])
-    if not rows:
-        raise DiscreteError("no matrix rows found")
-    return DiscreteBivariate.from_rows(rows, row_values, col_values)
-
-
 # Largest support grid a joint may span.  The table holds one Python int per
 # cell and markov_joint briefly holds two grids: building a random 3^12 chain
 # (531,441 cells) peaked at 81 MB of process memory, a 4^10 chain (2^20
@@ -165,8 +47,19 @@ def parse_matrix_text(text: str) -> DiscreteBivariate:
 MAX_CELLS = 1 << 20
 
 
-def _grid_shape(supports: Iterable[Sequence]) -> tuple[int, ...]:
-    """Shape of the support grid, refused past :data:`MAX_CELLS` up front."""
+def _grid_shape(supports: Sequence[Sequence]) -> tuple[int, ...]:
+    """Shape of the support grid, refused past :data:`MAX_CELLS` up front.
+
+    Each support must be sorted and distinct: orthant probabilities count
+    the support values below a threshold as a prefix of the axis.
+    """
+    for values in supports:
+        try:
+            ascending = all(a < b for a, b in zip(values, values[1:]))
+        except TypeError:
+            ascending = False
+        if not ascending:
+            raise DiscreteError("support values must be sorted and distinct")
     shape = tuple(len(s) for s in supports)
     cells = math.prod(shape)
     if cells > MAX_CELLS:
@@ -180,6 +73,23 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
     """Numerators of the rationals ``values`` over their lcm, as object ints."""
     den = math.lcm(*(v.denominator for v in values))
     return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
+
+
+def _check_total(total: int, den: int) -> None:
+    if total != den:
+        raise DiscreteError(f"total mass is {Fraction(total, den)}, expected 1")
+
+
+def _table_of(nums: Sequence[int], den: int, shape: tuple[int, ...],
+              what: str = "masses") -> np.ndarray:
+    """The flat integer numerators ``nums`` over ``den`` as an object table,
+    checked to be nonnegative with total ``den``."""
+    if any(x < 0 for x in nums):
+        raise DiscreteError(f"{what} must be nonnegative")
+    _check_total(sum(nums), den)
+    table = np.empty(len(nums), dtype=object)
+    table[:] = nums
+    return table.reshape(shape)
 
 
 class _MassView(Mapping):
@@ -226,22 +136,18 @@ class DiscreteJoint:
                  mass: Mapping[tuple[int, ...], Fraction]):
         supports = tuple(tuple(s) for s in supports)
         shape = _grid_shape(supports)
-        weights = {}
+        cells = {}
         for idx, w in mass.items():
-            w = Fraction(w)
             if len(idx) != len(shape):
                 raise DiscreteError("index tuple arity mismatch")
-            if w < 0:
-                raise DiscreteError("masses must be nonnegative")
             if not all(0 <= i < k for i, k in zip(idx, shape)):
                 raise DiscreteError("index out of support range")
-            weights[tuple(idx)] = w
-        nums, den = _over_lcm(list(weights.values()))
-        table = np.zeros(shape, dtype=object)
-        for idx, num in zip(weights, nums):
-            table[idx] = num
-        _check_total(table.sum(), den)
-        self._set(supports, table, den)
+            cells[np.ravel_multi_index(tuple(idx), shape)] = Fraction(w)
+        nums, den = _over_lcm(list(cells.values()))
+        flat = [0] * math.prod(shape)
+        for cell, num in zip(cells, nums):
+            flat[cell] = num
+        self._set(supports, _table_of(flat, den, shape), den)
 
     @classmethod
     def from_table(cls, supports: Sequence[Sequence], table, den: int) -> "DiscreteJoint":
@@ -260,12 +166,7 @@ class DiscreteJoint:
             raise DiscreteError("table entries and den must be integers") from None
         if den <= 0:
             raise DiscreteError("den must be positive")
-        if any(x < 0 for x in nums):
-            raise DiscreteError("masses must be nonnegative")
-        _check_total(sum(nums), den)
-        table = np.empty(len(nums), dtype=object)
-        table[:] = nums
-        return cls._of(supports, table.reshape(shape), den)
+        return cls._of(supports, _table_of(nums, den, shape), den)
 
     @classmethod
     def _of(cls, supports: tuple[tuple, ...], table: np.ndarray, den: int) -> "DiscreteJoint":
@@ -284,7 +185,7 @@ class DiscreteJoint:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return DiscreteJoint._of, (self.supports, self.table, self.den)
+        return self._of, (self.supports, self.table, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteJoint):
@@ -296,7 +197,7 @@ class DiscreteJoint:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"DiscreteJoint(supports={self.supports!r}, "
+        return (f"{type(self).__name__}(supports={self.supports!r}, "
                 f"{len(self.mass)} positive cells over {self.den})")
 
     @property
@@ -346,10 +247,7 @@ class DiscreteJoint:
             w = self._kept(sorted((i, j)))
             if i > j:
                 w = w.T
-        return DiscreteBivariate(
-            tuple(tuple(Fraction(x, self.den) for x in row) for row in w),
-            self.supports[i], self.supports[j],
-        )
+        return DiscreteBivariate._of((self.supports[i], self.supports[j]), w, self.den)
 
     def orthant_prob(self, thresholds: Sequence, strict: Sequence[bool] | bool = False) -> Fraction:
         """Exact P(X_n <= t_n for all n), or strict '<' where flagged."""
@@ -374,12 +272,122 @@ class DiscreteJoint:
             g = math.gcd(self.den, *marg)
             vectors.append(marg // g)
             den *= self.den // g
-        return DiscreteJoint._of(self.supports, functools.reduce(np.multiply.outer, vectors), den)
+        return self._of(self.supports, functools.reduce(np.multiply.outer, vectors), den)
 
 
-def _check_total(total: int, den: int) -> None:
-    if total != den:
-        raise DiscreteError(f"total mass is {Fraction(total, den)}, expected 1")
+class DiscreteBivariate(DiscreteJoint):
+    """Joint law of a pair on a finite grid: a two-axis :class:`DiscreteJoint`.
+
+    ``weights[r][c]`` is P[U = row_values[r], V = col_values[c]], and the
+    supports are ``(row_values, col_values)``.  The constructor takes each
+    weight as an ``int`` or a :class:`fractions.Fraction`; ``weights`` and
+    both marginals are read back from the integer table.
+    """
+
+    def __init__(self, weights: Sequence[Sequence[Fraction]], row_values, col_values):
+        if not weights:
+            raise DiscreteError("weight matrix must be nonempty")
+        ncols = len(weights[0])
+        if any(len(r) != ncols for r in weights):
+            raise DiscreteError("weight matrix must be rectangular")
+        supports = (tuple(row_values), tuple(col_values))
+        if tuple(map(len, supports)) != (len(weights), ncols):
+            raise DiscreteError("support lengths must match the weight matrix")
+        shape = _grid_shape(supports)
+        flat = [w for row in weights for w in row]
+        bad = [w for w in flat if not isinstance(w, (int, Fraction))]
+        if bad:
+            raise DiscreteError(f"weight {bad[0]!r} is not an int or a Fraction")
+        nums, den = _over_lcm(flat)
+        self._set(supports, _table_of(nums, den, shape, "weights"), den)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable], row_values=None, col_values=None):
+        """Build from any nested iterable of rationals/ints/strings."""
+        w = tuple(tuple(_frac(x) for x in row) for row in rows)
+        rv = tuple(row_values) if row_values is not None else tuple(range(len(w)))
+        cv = tuple(col_values) if col_values is not None else tuple(range(len(w[0])))
+        return cls(w, rv, cv)
+
+    @property
+    def row_values(self) -> tuple:
+        return self.supports[0]
+
+    @property
+    def col_values(self) -> tuple:
+        return self.supports[1]
+
+    @functools.cached_property
+    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.table.tolist())
+
+    @functools.cached_property
+    def _marginals(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        return self.marginal(0), self.marginal(1)
+
+    def row_marginal(self) -> tuple[Fraction, ...]:
+        return self._marginals[0]
+
+    def col_marginal(self) -> tuple[Fraction, ...]:
+        return self._marginals[1]
+
+    def _conditional_table(self) -> tuple[np.ndarray, int]:
+        """Numerators of w(r, c) / m(r) over their lcm, as object ints.
+
+        A zero-mass row r gets zeros.  In lowest terms row r is its integer
+        weights over their row sum, both divided by the row's gcd.
+        """
+        reduced = []
+        for row in self.table.tolist():
+            g = math.gcd(*row)
+            reduced.append(([x // g for x in row], sum(row) // g) if g else (row, 1))
+        lcm = math.lcm(*(d for _, d in reduced))
+        table = np.array([[x * (lcm // d) for x in row] for row, d in reduced], dtype=object)
+        return table, lcm
+
+    def conditional(self, given_row: int) -> tuple[Fraction, ...]:
+        """Conditional law of the column variable given row index ``given_row``."""
+        row = self.table[given_row].tolist()
+        mass = sum(row)
+        if mass == 0:
+            raise DiscreteError(f"conditioning row {given_row} has zero mass")
+        return tuple(Fraction(x, mass) for x in row)
+
+    def transpose(self) -> "DiscreteBivariate":
+        return self._of(self.supports[::-1], self.table.T, self.den)
+
+    # a name of its own in the class body, so that it can be wrapped per class
+    product_of_marginals = DiscreteJoint.product_of_marginals
+
+
+def parse_matrix_text(text: str) -> DiscreteBivariate:
+    """Parse a plain-text matrix: one row per line, entries '4/30' or '0.1'.
+
+    Optional directives ``# rows: v1 v2 ...`` / ``# cols: ...`` set supports;
+    they default to 0..k-1.
+    """
+    rows = []
+    row_values = col_values = None
+    for raw in text.splitlines():
+        stripped = raw.strip()
+        if stripped.startswith("#"):
+            body = stripped[1:].strip()
+            for key in ("rows", "cols"):
+                if body.lower().startswith(key + ":"):
+                    vals = tuple(_frac(v) for v in body.split(":", 1)[1].split())
+                    if key == "rows":
+                        row_values = vals
+                    else:
+                        col_values = vals
+            continue
+        line = stripped.split("#", 1)[0].strip()
+        if not line:
+            continue
+        rows.append([Fraction(tok) for tok in line.split()])
+    if not rows:
+        raise DiscreteError("no matrix rows found")
+    return DiscreteBivariate.from_rows(rows, row_values, col_values)
 
 
 def markov_joint(
@@ -394,7 +402,8 @@ def markov_joint(
     """
     spec = DiscreteTreeSpec(tree, edge_dists)
     laws = spec.node_laws
-    shape = _grid_shape(values for values, _ in laws)
+    supports = tuple(values for values, _ in laws)
+    shape = _grid_shape(supports)
     if any(w == 0 for _, marg in laws for w in marg):
         warnings.warn(
             "some support values carry zero mass; conditionals there are "
@@ -415,63 +424,7 @@ def markov_joint(
         axes[parent], axes[node] = shape[parent], shape[node]
         table = table * (cond if parent < node else cond.T).reshape(axes)
         den *= lcm
-    return DiscreteJoint._of(tuple(values for values, _ in laws), table, den)
-
-
-@dataclass(frozen=True)
-class BlockUniformJoint:
-    """Chain law that is uniform inside unit blocks of a rectangular grid.
-
-    Represented by the discrete law of the block indices (supports are the
-    block start values).  Orthant probabilities are exact at block
-    boundaries, where the strict orthant of the continuous law coincides
-    with the strict orthant of the block-index law.
-    """
-
-    joint: DiscreteJoint
-    block_width: Fraction
-
-    def orthant_prob(self, thresholds: Sequence) -> Fraction:
-        """Exact P(X_n < t_n for all n) for thresholds on block boundaries."""
-        for t in thresholds:
-            if _frac(t) % self.block_width != 0:
-                raise DiscreteError(
-                    f"threshold {t} is not a multiple of the block width "
-                    f"{self.block_width}; only block boundaries are supported"
-                )
-        return self.joint.orthant_prob(thresholds, strict=True)
-
-
-def block_uniform_joint(
-    matrices: Sequence[DiscreteBivariate] | Sequence[Sequence[Sequence]],
-    block_width=1,
-) -> BlockUniformJoint:
-    """Chain of block-uniform bivariate laws, one matrix per edge.
-
-    ``matrices[k]`` gives the block-pair masses of edge (k, k+1); supports
-    are the block start values 0, w, 2w, ...
-    """
-    width = _frac(block_width)
-    if width <= 0:
-        raise DiscreteError("block width must be positive")
-    bivs = []
-    for m in matrices:
-        if isinstance(m, DiscreteBivariate):
-            w = m.weights
-        else:
-            w = tuple(tuple(_frac(x) for x in row) for row in m)
-        bivs.append(
-            DiscreteBivariate(
-                w,
-                tuple(width * k for k in range(len(w))),
-                tuple(width * k for k in range(len(w[0]))),
-            )
-        )
-    if not bivs:
-        raise DiscreteError("need at least one edge matrix")
-    tree = DirectedTree(len(bivs) + 1, [(k, k + 1) for k in range(len(bivs))])
-    joint = markov_joint(tree, {(k, k + 1): bivs[k] for k in range(len(bivs))})
-    return BlockUniformJoint(joint, width)
+    return DiscreteJoint._of(supports, table, den)
 
 
 @dataclass(frozen=True)

@@ -155,20 +155,6 @@ def ecdf_on_grid(samples: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(s, t_grid, side="right") / len(s)
 
 
-def simulate_max_ecdf(
-    spec: TreeSpec,
-    n_samples: int,
-    seed: int,
-    t_grid: np.ndarray | None = None,
-    workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """ECDF of the observation maximum on a t-grid; returns (grid, ecdf)."""
-    d = _walk_steps(spec)
-    t_grid = default_t_grid(d) if t_grid is None else np.asarray(t_grid, dtype=float)
-    maxima = simulate_max(spec, n_samples, seed, workers)
-    return t_grid, ecdf_on_grid(maxima, t_grid)
-
-
 @dataclass
 class BandResult:
     """Robustness band for the max-of-observations distribution function.
@@ -218,12 +204,10 @@ def uncertainty_band(
     """Band between the noise-free and fully-perturbed max ECDFs."""
     t_grid = default_t_grid(d) if t_grid is None else np.asarray(t_grid, dtype=float)
     sigma_bar = np.asarray(sigma_bar_schedule, dtype=float)
-    _, lower = simulate_max_ecdf(
-        build_spec(d, family, sigma_bar), n_samples, seed, t_grid, workers
-    )
-    _, upper = simulate_max_ecdf(
-        build_spec(d, family, np.zeros_like(sigma_bar)), n_samples, seed,
-        t_grid, workers,
+    lower, upper = (
+        ecdf_on_grid(simulate_max(build_spec(d, family, sigmas), n_samples, seed, workers),
+                     t_grid)
+        for sigmas in (sigma_bar, np.zeros_like(sigma_bar))
     )
     return BandResult(t_grid, lower, upper, n_samples, seed)
 

@@ -87,23 +87,27 @@ def si_check(biv: DiscreteBivariate, direction: str = "col_given_row") -> bool:
 
     ``col_given_row`` tests whether the column variable is stochastically
     increasing in the row variable: the conditional CDFs must be pointwise
-    nonincreasing as the conditioning value grows.
+    nonincreasing as the conditioning value grows.  Conditioning values of
+    zero mass are skipped, since conditionals on null sets are free.
     """
     if direction == "row_given_col":
-        biv = biv.transpose()
-    elif direction != "col_given_row":
+        table = biv.table.T
+    elif direction == "col_given_row":
+        table = biv.table
+    else:
         raise OrderingError(f"unknown direction {direction!r}")
-    rows = [biv.conditional(r) for r in range(len(biv.row_values))]
-    cdfs = [list(itertools.accumulate(r)) for r in rows]
-    for prev, cur in zip(cdfs, cdfs[1:]):
-        if any(c > p for p, c in zip(prev, cur)):
+    # row r's conditional CDF is cum[r] / mass[r]; consecutive rows of
+    # positive mass compare by cross-multiplying with the row masses
+    cum = [row for row in np.cumsum(table, axis=1).tolist() if row[-1]]
+    for prev, cur in zip(cum, cum[1:]):
+        if any(c * prev[-1] > p * cur[-1] for p, c in zip(prev, cur)):
             return False
     return True
 
 
 def mtp2_check(biv: DiscreteBivariate) -> bool:
     """Total positivity of order 2: every 2x2 minor is nonnegative."""
-    w = biv.weights
+    w = biv.table.tolist()
     nr, nc = len(w), len(w[0])
     for r1, r2 in itertools.combinations(range(nr), 2):
         for c1, c2 in itertools.combinations(range(nc), 2):
@@ -416,22 +420,13 @@ def _copula_mtp2(cop) -> bool | None:
         return None
 
 
-def _joint_cdf_matrix(biv: DiscreteBivariate) -> list[list[Fraction]]:
-    cum = [list(itertools.accumulate(r)) for r in biv.weights]
-    for r in range(1, len(cum)):
-        cum[r] = [a + b for a, b in zip(cum[r - 1], cum[r])]
-    return cum
-
-
 def _bivariate_lo_exact(bx: DiscreteBivariate, by: DiscreteBivariate) -> bool:
     """Law-level pointwise order; demands equal supports and marginals."""
-    if bx.row_values != by.row_values or bx.col_values != by.col_values:
+    if bx.supports != by.supports:
         return False
     if bx.row_marginal() != by.row_marginal() or bx.col_marginal() != by.col_marginal():
         return False
-    cx = _joint_cdf_matrix(bx)
-    cy = _joint_cdf_matrix(by)
-    return all(a <= b for ra, rb in zip(cx, cy) for a, b in zip(ra, rb))
+    return lo_check(bx, by).holds
 
 
 def _subcopula_lo_exact(bx: DiscreteBivariate, by: DiscreteBivariate) -> bool:
@@ -443,17 +438,13 @@ def _subcopula_lo_exact(bx: DiscreteBivariate, by: DiscreteBivariate) -> bool:
     """
 
     def keyed(biv):
-        rm = list(itertools.accumulate(biv.row_marginal()))
-        cm = list(itertools.accumulate(biv.col_marginal()))
-        cum = _joint_cdf_matrix(biv)
-        return {
-            (rm[r], cm[c]): cum[r][c]
-            for r in range(len(rm))
-            for c in range(len(cm))
-        }
+        cum = np.cumsum(np.cumsum(biv.table, axis=0), axis=1)
+        rows = [Fraction(x, biv.den) for x in cum[:, -1]]
+        cols = [Fraction(x, biv.den) for x in cum[-1]]
+        return {(u, v): cum[r, c] for r, u in enumerate(rows) for c, v in enumerate(cols)}
 
     kx, ky = keyed(bx), keyed(by)
-    return all(kx[key] <= ky[key] for key in kx.keys() & ky.keys())
+    return all(kx[key] * by.den <= ky[key] * bx.den for key in kx.keys() & ky.keys())
 
 
 def _resolve_edges(spec):

@@ -1,15 +1,15 @@
 """Directed rooted trees: navigation, separation and level-order traversal.
 
 Nodes are dense integers ``0..d`` with the root fixed at ``0``.  Arbitrary
-external labels are supported through :class:`LabeledTree`, which remaps them
-at the I/O boundary.
+external labels are remapped at the I/O boundary by :func:`relabel`, which
+returns the dense tree together with the label of each dense node.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class TreeError(ValueError):
@@ -245,56 +245,14 @@ def default_query(tree: DirectedTree) -> TheoremQuery:
     return TheoremQuery(tuple(path), k_star)
 
 
-class LabeledTree:
-    """A :class:`DirectedTree` plus a mapping to arbitrary external labels.
-
-    ``labels[k]`` is the external label of dense node ``k``; the root of the
-    dense tree carries the external root label.
-    """
-
-    def __init__(self, tree: DirectedTree, labels: Sequence):
-        if len(labels) != tree.node_count:
-            raise TreeError("label count must match node count")
-        if len(set(labels)) != len(labels):
-            raise TreeError("labels must be distinct")
-        self.tree = tree
-        self.labels = tuple(labels)
-        self._index = {lab: k for k, lab in enumerate(self.labels)}
-
-    def dense(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise TreeError(f"unknown node label {label!r}") from None
-
-    def parent(self, label):
-        p = self.tree.parent(self.dense(label))
-        return None if p is None else self.labels[p]
-
-    def children(self, label) -> frozenset:
-        return frozenset(self.labels[c] for c in self.tree.children(self.dense(label)))
-
-    def leaves(self) -> frozenset:
-        return frozenset(self.labels[c] for c in self.tree.leaves())
-
-    def path_between(self, a, b) -> list:
-        dense = self.tree.path_between(self.dense(a), self.dense(b))
-        return [self.labels[k] for k in dense]
-
-    def separates(self, i, a_set, b_set) -> bool:
-        return self.tree.separates(
-            self.dense(i), [self.dense(a) for a in a_set], [self.dense(b) for b in b_set]
-        )
-
-    def level_order(self) -> tuple:
-        return tuple(self.labels[k] for k in self.tree.level_order())
-
-
-def relabel(edges: Iterable[tuple[object, object]], root=None) -> LabeledTree:
+def relabel(edges: Iterable[tuple[object, object]],
+            root=None) -> tuple[DirectedTree, tuple]:
     """Build a dense-labeled tree from edges over arbitrary hashable labels.
 
     The root defaults to the unique label that never appears as a child.
     Non-root labels are assigned dense ids 1..d in ascending label order.
+    Returns ``(tree, labels)``, where ``labels[k]`` is the external label of
+    dense node ``k``.
     """
     edge_list = list(edges)
     heads = {i for i, _ in edge_list}
@@ -308,14 +266,17 @@ def relabel(edges: Iterable[tuple[object, object]], root=None) -> LabeledTree:
     labels = [root] + list(rest)
     index = {lab: k for k, lab in enumerate(labels)}
     dense_edges = [(index[i], index[j]) for i, j in edge_list]
-    return LabeledTree(DirectedTree(len(labels), dense_edges), labels)
+    return DirectedTree(len(labels), dense_edges), tuple(labels)
 
 
 # -- text / JSON interchange ----------------------------------------------
 
 
-def parse_tree_text(text: str, root=None) -> LabeledTree:
-    """Parse the one-edge-per-line format ``"i j"``; '#' starts a comment."""
+def parse_tree_text(text: str, root=None) -> tuple[DirectedTree, tuple]:
+    """Parse the one-edge-per-line format ``"i j"``; '#' starts a comment.
+
+    Returns ``(tree, labels)`` as :func:`relabel` does.
+    """
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

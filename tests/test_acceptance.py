@@ -14,7 +14,7 @@ import pytest
 
 from treedep import hmm
 from treedep.copulas import Clayton, Gaussian, theta_from_rho
-from treedep.discrete import block_uniform_joint, markov_joint
+from treedep.discrete import markov_joint
 from treedep.marginals import Normal, Uniform
 from treedep.ordering import (
     lo_check,
@@ -88,10 +88,13 @@ def test_criterion_02_star4_exact(star4_matrices):
 def test_criterion_03_block_chain_exact(block_matrices):
     done = _timed(1.0)
     a, b = block_matrices
-    jx = block_uniform_joint([a.weights] * 3)
-    jy = block_uniform_joint([b.weights] * 3)
-    assert jx.orthant_prob((2, 2, 2, 2)) == F(1259, 3000)
-    assert jy.orthant_prob((2, 2, 2, 2)) == F(1256, 3000)
+    # unit blocks starting at 0, 1, 2: at block boundaries the continuous
+    # law's strict orthant is the block-index chain's strict orthant
+    chain = make_chain(3)
+    jx = markov_joint(chain, {(k, k + 1): a for k in range(3)})
+    jy = markov_joint(chain, {(k, k + 1): b for k in range(3)})
+    assert jx.orthant_prob((2, 2, 2, 2), strict=True) == F(1259, 3000)
+    assert jy.orthant_prob((2, 2, 2, 2), strict=True) == F(1256, 3000)
     assert mtp2_check(b) is True
     assert mtp2_check(a) is False
     assert schur_leq(a, b, "col_given_row").holds is True

@@ -90,6 +90,19 @@ def test_check_inconsistent_matrix_spec_exit_code(tmp_path, capsys, flex):
     assert captured.out == ""
 
 
+def test_check_passes_a_spec_with_a_zero_mass_state(tmp_path, capsys):
+    # node 1's middle state has zero mass; SI skips it rather than failing
+    (tmp_path / "d.txt").write_text("1/2 0 0\n0 0 0\n0 0 1/2\n")
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({
+        "tree": CHAIN_TREE, "matrices": [[0, 1, "d.txt"], [1, 2, "d.txt"]],
+    }))
+    assert main(["check", str(spec), str(spec)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] is True
+    assert captured.err == ""
+
+
 def test_check_marginal_flex_flag(tmp_path, capsys):
     sx = write_spec(tmp_path / "x.json",
                     [[0, 1, "gaussian(0.3)"], [1, 2, "gaussian(0.3)"]],

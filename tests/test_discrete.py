@@ -14,7 +14,6 @@ from treedep.discrete import (
     DiscreteError,
     DiscreteJoint,
     DiscreteTreeSpec,
-    block_uniform_joint,
     markov_joint,
     parse_matrix_text,
 )
@@ -104,24 +103,6 @@ def test_orthant_monotone_in_thresholds(chain3_matrices):
             bumped = list(t)
             bumped[axis] += 1
             assert joint.orthant_prob(t) <= joint.orthant_prob(tuple(bumped))
-
-
-def test_block_uniform(block_matrices):
-    a, b = block_matrices
-    bx = block_uniform_joint([a.weights] * 3)
-    by = block_uniform_joint([b.weights] * 3)
-    assert bx.orthant_prob((2, 2, 2, 2)) == F(1259, 3000)
-    assert by.orthant_prob((2, 2, 2, 2)) == F(1256, 3000)
-    assert bx.orthant_prob((3, 3, 3, 3)) == 1
-    with pytest.raises(DiscreteError):
-        bx.orthant_prob((1.5, 2, 2, 2))
-
-
-def test_block_width_scaling(block_matrices):
-    a, _ = block_matrices
-    half = block_uniform_joint([a.weights] * 3, block_width=F(1, 2))
-    full = block_uniform_joint([a.weights] * 3)
-    assert half.orthant_prob((1, 1, 1, 1)) == full.orthant_prob((2, 2, 2, 2))
 
 
 def test_marginalize_and_conditional(chain3_matrices):
@@ -440,6 +421,47 @@ def test_table_constructor_rejects_malformed_tables():
         DiscreteJoint.from_table(supports, [[F(1, 2), 1], [1, 1]], 4)
     with pytest.raises(DiscreteError, match="positive"):
         DiscreteJoint.from_table(supports, [[0, 0], [0, 0]], 0)
+
+
+@pytest.mark.parametrize("support", [(2, 1), (1, 1), (0, F(1, 2), F(1, 2), 1), ("a", 1)])
+def test_supports_must_be_sorted_and_distinct(support):
+    k = len(support)
+    with pytest.raises(DiscreteError, match="sorted and distinct"):
+        DiscreteJoint((support,), {(i,): F(1, k) for i in range(k)})
+    with pytest.raises(DiscreteError, match="sorted and distinct"):
+        DiscreteJoint.from_table(((0, 1), support), [[1] * k, [1] * k], 2 * k)
+    with pytest.raises(DiscreteError, match="sorted and distinct"):
+        DiscreteBivariate(((F(1, k),) * k,), (0,), support)
+    with pytest.raises(DiscreteError, match="sorted and distinct"):
+        DiscreteBivariate.from_rows([[F(1, k)]] * k, row_values=support)
+
+
+def test_orthant_on_a_sorted_support():
+    joint = DiscreteJoint(((1, 2),), {(0,): F(3, 4), (1,): F(1, 4)})
+    assert joint.orthant_prob((1,)) == F(3, 4)
+    assert DiscreteJoint.from_table(((1, 2),), [3, 1], 4) == joint
+
+
+def test_bivariate_is_a_two_axis_joint(chain3_matrices):
+    biv = DiscreteBivariate.from_rows([[F(1, 4), F(1, 4)], [0, F(1, 2)]], (1, 5), (-1, 0))
+    assert isinstance(biv, DiscreteJoint)
+    assert (biv.supports, biv.den, biv.table.tolist()) == (((1, 5), (-1, 0)), 4, [[1, 1], [0, 2]])
+    assert biv.row_marginal() == biv.marginal(0) == (F(1, 2), F(1, 2))
+    assert biv.col_marginal() == biv.marginal(1) == (F(1, 4), F(3, 4))
+    flipped = biv.transpose()
+    assert flipped.weights == tuple(zip(*biv.weights))
+    assert (flipped.row_values, flipped.col_values) == ((-1, 0), (1, 5))
+    assert flipped.transpose() == biv and not flipped.table.flags.writeable
+    a01, a12, _, _ = chain3_matrices
+    edge = markov_joint(make_chain(2), {(0, 1): a01, (1, 2): a12}).bivariate(1, 2)
+    assert edge == a12
+    for law in (flipped, biv.product_of_marginals(), pickle.loads(pickle.dumps(biv)), edge):
+        assert type(law) is DiscreteBivariate
+    assert pickle.loads(pickle.dumps(biv)) == biv
+    with pytest.raises(TypeError):
+        hash(biv)
+    with pytest.raises(AttributeError):
+        biv.den = 2
 
 
 def test_joint_is_read_only():

@@ -17,7 +17,6 @@ from treedep.hmm import (
     linear_schedule,
     parse_schedule,
     simulate_max,
-    simulate_max_ecdf,
     uncertainty_band,
     walk_rho,
 )
@@ -87,7 +86,7 @@ def test_single_step_closed_form():
     # with one exact step, max{0, X1} has CDF Phi(t) for t >= 0, 0 below
     t_grid = np.linspace(-1.0, 3.0, 41)
     spec = build_spec(1, "none", np.zeros(1))
-    _, ecdf = simulate_max_ecdf(spec, 50_000, seed=13, t_grid=t_grid)
+    ecdf = ecdf_on_grid(simulate_max(spec, 50_000, seed=13), t_grid)
     want = np.where(t_grid < 0, 0.0, ndtr(t_grid))
     assert np.max(np.abs(ecdf - want)) < 3.0 / np.sqrt(50_000) * 1.3
     assert np.all(ecdf[t_grid < 0] == 0.0)

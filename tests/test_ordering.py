@@ -49,10 +49,33 @@ def test_si_examples(chain3_matrices):
         si_check(a01, "sideways")
 
 
-def test_si_zero_slice_rejected():
-    biv = DiscreteBivariate.from_rows([[0, 0], [F(1, 2), F(1, 2)]])
-    with pytest.raises(Exception):
-        si_check(biv)
+def test_si_skips_zero_mass_rows():
+    # conditionals on a null set are free, so a zero row never breaks SI
+    assert si_check(DiscreteBivariate.from_rows([[0, 0], [F(1, 2), F(1, 2)]])) is True
+    diagonal = mat([[1, 0, 0], [0, 0, 0], [0, 0, 1]], 2)
+    assert si_check(diagonal) is True
+    assert si_check(diagonal, "row_given_col") is True
+    # the rows of positive mass around the zero row must still be ordered
+    antidiagonal = mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]], 2)
+    assert si_check(antidiagonal) is False
+    assert si_check(antidiagonal, "row_given_col") is False
+
+
+def test_si_matches_conditional_cdfs_on_laws_with_zero_rows():
+    rng = random.Random(61)
+    verdicts = {True: 0, False: 0}
+    for _ in range(200):
+        k, m = rng.randint(2, 4), rng.randint(2, 4)
+        raw = [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(m)] for _ in range(k)]
+        raw[rng.randrange(k)][rng.randrange(m)] += 1
+        total = sum(map(sum, raw))
+        biv = DiscreteBivariate.from_rows([[F(x, total) for x in row] for row in raw])
+        for direction, rows in (("col_given_row", raw), ("row_given_col", list(zip(*raw)))):
+            cdfs = [list(itertools.accumulate(F(x, sum(r)) for x in r)) for r in rows if sum(r)]
+            want = all(c <= p for prev, cur in zip(cdfs, cdfs[1:]) for p, c in zip(prev, cur))
+            assert si_check(biv, direction) is want
+            verdicts[want] += 1
+    assert min(verdicts.values()) >= 50, verdicts
 
 
 def test_mtp2_examples(block_matrices):
@@ -331,6 +354,36 @@ def test_bivariate_lo_helper_matches_general_checker():
         by = random_coupling(rng, marg_r, marg_c)
         want = lo_check(biv_joint(bx), biv_joint(by)).holds
         assert _bivariate_lo_exact(bx, by) == want
+
+
+def test_subcopula_lo_helper_matches_fraction_cdfs():
+    from treedep.ordering import _subcopula_lo_exact
+
+    def keyed(biv):
+        """Joint cdf at each (row cdf, col cdf) pair, summed in Fractions."""
+        w = biv.weights
+        rows = list(itertools.accumulate(biv.row_marginal()))
+        cols = list(itertools.accumulate(biv.col_marginal()))
+        return {(u, v): sum((w[i][j] for i in range(r + 1) for j in range(c + 1)), F(0))
+                for r, u in enumerate(rows) for c, v in enumerate(cols)}
+
+    rng = random.Random(97)
+    verdicts = {True: 0, False: 0}
+    for trial in range(80):
+        size = rng.randint(2, 4)
+        marg_r, marg_c = random_marginal(rng, size), random_marginal(rng, size)
+        bx = random_coupling(rng, marg_r, marg_c)
+        if trial % 4 == 3:  # other marginals: only the shared cdf keys compare
+            marg_r = random_marginal(rng, rng.randint(2, 4))
+        by = random_coupling(rng, marg_r, marg_c)
+        # the copula order ignores where the supports sit
+        by = DiscreteBivariate(by.weights, tuple(v * 3 + 1 for v in by.row_values),
+                               by.col_values)
+        kx, ky = keyed(bx), keyed(by)
+        want = all(kx[key] <= ky[key] for key in kx.keys() & ky.keys())
+        assert _subcopula_lo_exact(bx, by) is want
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 15, verdicts
 
 
 def test_sm_scale_guard():

@@ -23,8 +23,10 @@ BRANCHY_EDGES = [(1, 6), (1, 3), (6, 5), (6, 7), (3, 2), (3, 4), (3, 8)]
 
 @pytest.fixture
 def branchy():
-    # two-level tree rooted at 1 with external labels 1..8
-    return relabel(BRANCHY_EDGES)
+    # two-level tree rooted at 1 with external labels 1..8: the dense tree,
+    # the label of each dense node and the dense node of each label
+    tree, labels = relabel(BRANCHY_EDGES)
+    return tree, labels, {lab: k for k, lab in enumerate(labels)}
 
 
 def random_tree(rng: random.Random, n: int) -> DirectedTree:
@@ -33,16 +35,18 @@ def random_tree(rng: random.Random, n: int) -> DirectedTree:
 
 
 def test_parent(branchy):
-    assert branchy.parent(5) == 6
-    assert branchy.parent(1) is None
+    tree, labels, node = branchy
+    assert labels[tree.parent(node[5])] == 6
+    assert tree.parent(node[1]) is None
     chain = make_chain(2)
     assert chain.parent(2) == 1
     assert chain.parent(0) is None
 
 
 def test_children_descendants_leaves(branchy):
-    assert branchy.children(3) == {2, 4, 8}
-    assert branchy.leaves() == {5, 7, 2, 4, 8}
+    tree, labels, node = branchy
+    assert {labels[c] for c in tree.children(node[3])} == {2, 4, 8}
+    assert {labels[c] for c in tree.leaves()} == {5, 7, 2, 4, 8}
     star = make_star(4)
     assert star.descendants(0) == {1, 2, 3, 4}
     assert star.leaves() == {1, 2, 3, 4}
@@ -57,7 +61,8 @@ def test_unknown_node_rejected():
 
 
 def test_path_between(branchy):
-    assert branchy.path_between(5, 2) == [6, 1, 3]
+    tree, labels, node = branchy
+    assert [labels[k] for k in tree.path_between(node[5], node[2])] == [6, 1, 3]
     chain = make_chain(3)
     assert chain.path_between(0, 3) == [1, 2]
     assert chain.path_between(1, 2) == []
@@ -75,7 +80,8 @@ def test_separates(branchy):
     assert chain.separates(1, [0], [2])
     star = make_star(3)
     assert star.separates(0, [1], [2, 3])
-    assert branchy.separates(6, [1], [3]) is False
+    tree, _, node = branchy
+    assert tree.separates(node[6], [node[1]], [node[3]]) is False
     with pytest.raises(TreeError):
         chain.separates(1, [0, 2], [2])
     with pytest.raises(TreeError):
@@ -83,7 +89,8 @@ def test_separates(branchy):
 
 
 def test_level_order(branchy):
-    assert branchy.level_order() == (1, 3, 6, 2, 4, 5, 7, 8)
+    tree, labels, _ = branchy
+    assert tuple(labels[k] for k in tree.level_order()) == (1, 3, 6, 2, 4, 5, 7, 8)
     assert make_chain(4).level_order() == (0, 1, 2, 3, 4)
     assert make_star(4).level_order() == (0, 1, 2, 3, 4)
 
@@ -152,9 +159,7 @@ def test_separation_matches_path_membership():
 
 def test_text_and_json_io(branchy, tmp_path):
     text = "# branchy example\n" + "\n".join(f"{i} {j}" for i, j in BRANCHY_EDGES)
-    parsed = parse_tree_text(text)
-    assert parsed.tree == branchy.tree
-    assert parsed.labels == branchy.labels
+    assert parse_tree_text(text) == branchy[:2]
 
     blob = tree_to_json(make_chain(2))
     assert parse_tree_json(blob) == make_chain(2)
@@ -176,7 +181,7 @@ def test_queries():
     assert q.path == (1, 2, 3)
     assert q.k_star == 1
     validate_query(chain, q)
-    branchy = relabel(BRANCHY_EDGES).tree
+    branchy, _ = relabel(BRANCHY_EDGES)
     q2 = default_query(branchy)
     validate_query(branchy, q2)
     with pytest.raises(TreeError):
