@@ -7,7 +7,7 @@ hypotheses of the tree comparison theorems, and compute perturbed-random-walk
 robustness bands.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .copulas import (
     BivariateCopula,

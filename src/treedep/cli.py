@@ -1,8 +1,9 @@
 """Command-line front end: counterexample gallery, audits, sampling, bands.
 
-Exit codes: 0 success, 1 a check failed, 2 malformed input or a numerical
-failure (a conditional inverse or the exact simplex gave up); every exit 2
-prints a one-line ``error:`` message.
+Exit codes: 0 success, 1 a check failed, 2 malformed input, a file that
+cannot be read or written, or a numerical failure (a conditional inverse or
+the exact simplex gave up); every exit 2 prints a one-line ``error:``
+message.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def load_spec(path: str):
@@ -56,7 +59,7 @@ def load_spec(path: str):
         dists = {}
         for i, j, mpath in _edge_triples(path, obj, "matrices"):
             full = Path(path).parent / mpath
-            dists[(int(i), int(j))] = parse_matrix_text(full.read_text())
+            dists[(i, j)] = parse_matrix_text(full.read_text())
         return DiscreteTreeSpec(tree, dists)
     if "marginals" not in obj or "copulas" not in obj:
         raise InputError(f"{path}: need 'marginals' and 'copulas' (or 'matrices')")
@@ -73,20 +76,22 @@ def load_spec(path: str):
     if not all(isinstance(s, str) for s in raw_m):
         raise InputError(f"{path}: marginals are literal strings such as 'normal(0,1)'")
     marginals = tuple(parse_marginal(s) for s in raw_m)
-    copulas = {
-        (int(i), int(j)): parse_copula(lit)
-        for i, j, lit in _edge_triples(path, obj, "copulas")
-    }
+    copulas = {(i, j): parse_copula(lit) for i, j, lit in _edge_triples(path, obj, "copulas")}
     return sampler.TreeSpec(tree, marginals, copulas)
 
 
-def _edge_triples(path: str, obj: dict, key: str) -> list:
+def _edge_triples(path: str, obj: dict, key: str) -> list[tuple[int, int, str]]:
+    """``obj[key]`` as ``(i, j, string)`` triples with integer nodes."""
     entries = obj[key]
+    message = f"{path}: '{key}' must be a list of [i, j, string] triples"
     if not isinstance(entries, list) or not all(
         isinstance(e, list) and len(e) == 3 and isinstance(e[2], str) for e in entries
     ):
-        raise InputError(f"{path}: '{key}' must be a list of [i, j, string] triples")
-    return entries
+        raise InputError(message)
+    try:
+        return [(int(i), int(j), text) for i, j, text in entries]
+    except (TypeError, ValueError):
+        raise InputError(f"{message}, where i and j are node numbers") from None
 
 
 def load_query(path: str | None):
@@ -167,6 +172,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_band(args) -> int:
+    if args.steps < 1:
+        raise InputError(f"--steps must be at least 1, got {args.steps}")
     sigma = hmm.parse_schedule(args.sigma, args.steps)
     t_grid = hmm.default_t_grid(args.steps, args.grid)
     band = hmm.uncertainty_band(
@@ -236,7 +243,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, HInversionError, SimplexError) as exc:
+    except (ValueError, OSError, HInversionError, SimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

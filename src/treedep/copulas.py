@@ -48,8 +48,27 @@ def _unit(x, name: str, open_interval: bool = False):
     return x
 
 
+def _scores(z, name: str):
+    """Normal scores ``z`` as a float array, checked to be finite.
+
+    A score stands for the copula value ``ndtr(z)``, which lies in (0,1)
+    exactly when ``z`` is finite; NaN fails both comparisons.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.size and not (-np.inf < z.min() and z.max() < np.inf):
+        raise CopulaError(f"{name} must lie in the open interval (0,1): "
+                          f"its normal score is not finite")
+    return z
+
+
 class BivariateCopula:
-    """Base class: cdf, conditional CDF ``h`` and its inverse."""
+    """Base class: cdf, conditional CDF ``h`` and its inverse.
+
+    ``takes_scores`` marks the families whose ``h_inv`` also works in normal
+    scores (``scores=True``): Gaussian and comonotone.
+    """
+
+    takes_scores = False
 
     def cdf(self, u, v):
         raise NotImplementedError
@@ -125,6 +144,8 @@ class Comonotone(BivariateCopula):
     function and the sampling rule degenerates to v = u for every p.
     """
 
+    takes_scores = True
+
     def cdf(self, u, v):
         return np.minimum(_unit(u, "u"), _unit(v, "v"))
 
@@ -132,8 +153,10 @@ class Comonotone(BivariateCopula):
         u = _unit(u, "u", open_interval=True)
         return (_unit(v, "v") >= u).astype(float)
 
-    def h_inv(self, u, p):
-        u = _unit(u, "u", open_interval=True)
+    def h_inv(self, u, p, scores=False):
+        """``u`` itself for every ``p``; with ``scores=True`` ``u`` and the
+        result are normal scores, ``ndtri`` of the copula values."""
+        u = _scores(u, "u") if scores else _unit(u, "u", open_interval=True)
         p = _unit(p, "p", open_interval=True)
         return np.broadcast_to(u, np.broadcast_shapes(u.shape, p.shape)).copy()
 
@@ -151,6 +174,7 @@ class Comonotone(BivariateCopula):
 @dataclass(frozen=True)
 class Gaussian(BivariateCopula):
     rho: float
+    takes_scores = True
 
     def __post_init__(self):
         if not -1.0 <= self.rho <= 1.0:
@@ -191,15 +215,25 @@ class Gaussian(BivariateCopula):
             out[mid] = ndtr((ndtri(v[mid]) - self.rho * ndtri(u[mid])) / denom)
         return out
 
-    def h_inv(self, u, p):
-        u = _unit(u, "u", open_interval=True)
+    def h_inv(self, u, p, scores=False):
+        """Solve ``h(u, v) = p`` for v: ``ndtr(rho*ndtri(u) + sqrt(1-rho^2)*ndtri(p))``.
+
+        With ``scores=True``, ``u`` holds the normal scores ``z = ndtri(u)``
+        and the result is v's score, ``rho*z + sqrt(1-rho^2)*ndtri(p)``.  That
+        skips the ndtr/ndtri round trip, which costs time and loses precision
+        near 1, where a double holds ``1 - v`` only to about 1e-16.  ``p`` is a
+        probability in (0,1) either way; a score must be finite.
+        """
+        u = _scores(u, "u") if scores else _unit(u, "u", open_interval=True)
         p = _unit(p, "p", open_interval=True)
         if self.rho == 1.0:
             return np.broadcast_to(u, np.broadcast_shapes(u.shape, p.shape)).copy()
         if self.rho == -1.0:
-            return np.broadcast_to(1.0 - u, np.broadcast_shapes(u.shape, p.shape)).copy()
+            v = -u if scores else 1.0 - u
+            return np.broadcast_to(v, np.broadcast_shapes(u.shape, p.shape)).copy()
         denom = math.sqrt(1.0 - self.rho * self.rho)
-        return ndtr(self.rho * ndtri(u) + denom * ndtri(p))
+        z = self.rho * (u if scores else ndtri(u)) + denom * ndtri(p)
+        return z if scores else ndtr(z)
 
     def flags(self):
         pos = self.rho >= 0.0

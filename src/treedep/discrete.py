@@ -34,7 +34,10 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise DiscreteError(f"entry {x!r} divides by zero") from None
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     raise DiscreteError(f"cannot interpret {x!r} as an exact rational")
@@ -384,7 +387,7 @@ def parse_matrix_text(text: str) -> DiscreteBivariate:
         line = stripped.split("#", 1)[0].strip()
         if not line:
             continue
-        rows.append([Fraction(tok) for tok in line.split()])
+        rows.append([_frac(tok) for tok in line.split()])
     if not rows:
         raise DiscreteError("no matrix rows found")
     return DiscreteBivariate.from_rows(rows, row_values, col_values)

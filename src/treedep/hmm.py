@@ -140,11 +140,13 @@ def simulate_max(spec: TreeSpec, n_samples: int, seed: int,
         raise WalkError("need at least one sample")
     _walk_steps(spec)
 
+    # observations; node 1 is the Dirac(0) anchor
+    observations = range(1, spec.tree.node_count, 2)
+
     def block(start: int, count: int) -> np.ndarray:
         running = np.zeros(count)
-        for node, u in propagate(spec, seed, start, count):
-            if node % 2:  # observations; node 1 is the Dirac(0) anchor
-                np.maximum(running, spec.marginals[node].quantile(u), out=running)
+        for _, x in propagate(spec, seed, start, count, observations):
+            np.maximum(running, x, out=running)
         return running
 
     return np.concatenate(run_chunks(n_samples, workers, block))

@@ -40,9 +40,14 @@ class RangeClosure:
 
 
 class Marginal:
-    """Base class; subclasses implement the family-specific evaluators."""
+    """Base class; subclasses implement the family-specific evaluators.
+
+    ``takes_scores`` marks the families whose ``quantile`` also takes normal
+    scores (``scores=True``): the normal law.
+    """
 
     continuous: bool = False
+    takes_scores: bool = False
 
     def cdf(self, x):
         raise NotImplementedError
@@ -67,6 +72,14 @@ class Marginal:
             raise MarginalError("quantile argument must lie in (0,1)")
         return t
 
+    def _validate_scores(self, z):
+        # a score z stands for the probability ndtr(z), in (0,1) iff z is finite
+        z = np.asarray(z, dtype=float)
+        if z.size and not (-np.inf < z.min() and z.max() < np.inf):
+            raise MarginalError("quantile argument must lie in (0,1): "
+                                "its normal score is not finite")
+        return z
+
     def _validate_real(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(np.isnan(x)):
@@ -81,6 +94,7 @@ class Normal(Marginal):
     mu: float
     var: float
     continuous = True
+    takes_scores = True
 
     def __post_init__(self):
         if self.var < 0:
@@ -96,11 +110,17 @@ class Normal(Marginal):
             return (x >= self.mu).astype(float)
         return ndtr((x - self.mu) / self.sigma)
 
-    def quantile(self, t):
-        t = self._validate_prob(t)
+    def quantile(self, t, scores=False):
+        """``mu + sigma * ndtri(t)`` at probabilities ``t`` in (0,1).
+
+        With ``scores=True``, ``t`` holds finite normal scores ``z`` (the
+        probabilities are ``ndtr(z)``) and the quantile is ``mu + sigma * z``,
+        with no ``ndtri`` call.
+        """
+        t = self._validate_scores(t) if scores else self._validate_prob(t)
         if self.var == 0:
             return np.full_like(t, self.mu)
-        return self.mu + self.sigma * ndtri(t)
+        return self.mu + self.sigma * (t if scores else ndtri(t))
 
     def mean(self) -> float:
         return self.mu

@@ -18,9 +18,10 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from ._csv import write_csv
 from .copulas import BivariateCopula, HInversionError
@@ -28,6 +29,8 @@ from .marginals import Marginal
 from .trees import DirectedTree, TreeError
 
 _MAGIC = b"TDEPSAMP"
+# rows per kernel call in run_chunks: a column is at most 256 KiB of float64
+ROW_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -53,35 +56,48 @@ class TreeSpec:
 
 # -- counter-based uniforms ----------------------------------------------------
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # wrapping mod 2^64 is the point; silence numpy's scalar overflow warning
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _mix_int(z: int) -> int:
+    """The splitmix64 finalizer on one 64-bit integer."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
 
 
-def _node_key(seed: int, node: int) -> np.uint64:
-    with np.errstate(over="ignore"):
-        s = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-        return _mix(s ^ _mix(np.uint64(node + 1) * _GOLDEN))
+def _node_key(seed: int, node: int) -> int:
+    s = _mix_int(((seed & _MASK) + _GOLDEN) & _MASK)
+    return _mix_int(s ^ _mix_int(((node + 1) * _GOLDEN) & _MASK))
 
 
 def counter_uniforms(seed: int, node: int, start: int, count: int) -> np.ndarray:
     """Uniforms in the open interval (0,1) for rows start..start+count-1.
 
     Value i depends only on (seed, node, i): the stream is a splitmix64
-    sequence keyed per node, evaluated at arbitrary counters.
+    sequence keyed per node, evaluated at arbitrary counters.  The mixing runs
+    in place on one uint64 buffer with one scratch buffer.
     """
-    idx = np.arange(start, start + count, dtype=np.uint64)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    t = np.empty_like(z)
+    # wrapping mod 2^64 is the point; silence numpy's overflow warning
     with np.errstate(over="ignore"):
-        bits = _mix(_node_key(seed, node) + (idx + np.uint64(1)) * _GOLDEN)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(_node_key(seed, node))
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            z *= np.uint64(mult)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 @dataclass(frozen=True)
@@ -126,49 +142,89 @@ def load_binary(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(n, d)
 
 
-def propagate(spec: TreeSpec, seed: int, start: int, count: int):
-    """Yield ``(node, u)`` in level order: each node's copula-scale column.
+def propagate(spec: TreeSpec, seed: int, start: int, count: int,
+              nodes: Iterable[int] | None = None):
+    """Yield ``(node, x)`` in level order: a node's values on its marginal's scale.
 
-    The root takes its counter uniforms as they are; every other node inverts
-    its edge copula's conditional CDF at the parent's column.  A parent's
-    column is dropped after its last child is drawn, so a chain holds about
-    two columns at a time.  Callers must not modify the yielded arrays.
+    Rows start..start+count-1; ``nodes`` picks the nodes to yield (all by
+    default), and the others are propagated without a quantile.  The root
+    takes its counter uniforms as they are; every other node inverts its
+    edge copula's conditional CDF at the parent's column.  A column is held
+    in the scale its edge produces: normal scores z (copula value ndtr(z))
+    after Gaussian and comonotone edges, copula values u after the other
+    families.  It is converted at most once, and only when a child edge or
+    the node's marginal needs the other scale.  Each scale of a column is
+    dropped after its last child, so a chain holds about two columns at a
+    time.
     """
     tree = spec.tree
     order = tree.level_order()
-    last_child = {tree.parent(node): node for node in order[1:]}
-    live: dict[int, np.ndarray] = {}
+    wanted = set(order) if nodes is None else set(nodes)
+    # (node, in scores?) -> the last child, in level order, that reads that scale
+    last_child = {}
+    for child in order[1:]:
+        parent = tree.parent(child)
+        last_child[(parent, spec.copulas[(parent, child)].takes_scores)] = child
+    live: dict[tuple[int, bool], np.ndarray] = {}
     for node in order:
-        u = counter_uniforms(seed, node, start, count)
+        p = counter_uniforms(seed, node, start, count)
         parent = tree.parent(node)
-        if parent is not None:
+        if parent is None:
+            col, scores = p, False
+        else:
+            cop = spec.copulas[(parent, node)]
+            scores = cop.takes_scores
+            key = (parent, scores)
             try:
-                u = spec.copulas[(parent, node)].h_inv(live[parent], u)
+                col = (cop.h_inv(live[key], p, scores=True) if scores
+                       else cop.h_inv(live[key], p))
             except HInversionError as exc:
                 raise HInversionError(
                     f"conditional inverse failed on edge ({parent},{node}): {exc}"
                 ) from exc
-            if last_child[parent] == node:
-                del live[parent]
-        if node in last_child:
-            live[node] = u
-        yield node, u
+            if last_child[key] == node:
+                del live[key]
+        # the column as scores z and as copula values u, each only if needed
+        z, u = (col, None) if scores else (None, col)
+        if (node, True) in last_child:
+            z = live[(node, True)] = col if scores else ndtri(col)
+        if (node, False) in last_child:
+            u = live[(node, False)] = ndtr(col) if scores else col
+        if node in wanted:
+            marginal = spec.marginals[node]
+            if z is not None and marginal.takes_scores:
+                yield node, marginal.quantile(z, scores=True)
+            else:
+                yield node, marginal.quantile(ndtr(z) if u is None else u)
+
+
+def _split(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
+    """``(start, count)`` of ``parts`` near-equal slices of rows start..stop-1."""
+    bounds = np.linspace(start, stop, parts + 1).astype(int)
+    return [(int(a), int(b - a)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def run_chunks(n: int, workers: int, block: Callable[[int, int], object]) -> list:
-    """``block(start, count)`` over a split of rows ``0..n-1``, in row order.
+    """``block(start, count)`` over a split of rows ``0..n-1``; results in row order.
 
     The rows are split into ``min(workers, n)`` chunks, run on at most
-    ``os.cpu_count()`` threads.
+    ``os.cpu_count()`` threads.  Each thread runs its chunk as near-equal
+    blocks of at most ``ROW_BLOCK`` rows, one after another, and the list
+    holds one result per block.  Every column the kernel holds is thus at
+    most ``ROW_BLOCK`` values whatever ``n`` is, which keeps its memory
+    small and the same from run to run.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    bounds = np.linspace(0, n, min(workers, n) + 1).astype(int)
-    chunks = [(int(a), int(b - a)) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+    def run(start: int, count: int) -> list:
+        return [block(*b) for b in _split(start, start + count, -(-count // ROW_BLOCK))]
+
+    chunks = _split(0, n, min(workers, n))
     if len(chunks) == 1:
-        return [block(*chunks[0])]
+        return run(*chunks[0])
     with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-        return list(pool.map(lambda c: block(*c), chunks))
+        return [out for outs in pool.map(lambda c: run(*c), chunks) for out in outs]
 
 
 def sample(spec: TreeSpec, n: int, seed: int, workers: int = 1) -> SampleBatch:
@@ -179,8 +235,8 @@ def sample(spec: TreeSpec, n: int, seed: int, workers: int = 1) -> SampleBatch:
 
     def block(start: int, count: int) -> None:
         rows = data[start:start + count]
-        for node, u in propagate(spec, seed, start, count):
-            rows[:, node] = spec.marginals[node].quantile(u)
+        for node, x in propagate(spec, seed, start, count):
+            rows[:, node] = x
 
     run_chunks(n, workers, block)
     return SampleBatch(data, seed, spec.fingerprint())

@@ -295,8 +295,13 @@ def parse_tree_json(obj) -> DirectedTree:
     """Parse ``{"nodes": d+1, "edges": [[i, j], ...]}`` (dense labels)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    edges = [(int(i), int(j)) for i, j in obj["edges"]]
-    return DirectedTree(int(obj["nodes"]), edges)
+    try:
+        edges = [(int(i), int(j)) for i, j in obj["edges"]]
+        nodes = int(obj["nodes"])
+    except (TypeError, ValueError, KeyError):
+        raise TreeError('a tree is {"nodes": <node count>, "edges": [[i, j], ...]} '
+                        'with integer node labels') from None
+    return DirectedTree(nodes, edges)
 
 
 def tree_to_json(tree: DirectedTree) -> dict:

@@ -250,7 +250,7 @@ def test_band_rejects_malformed_input(tmp_path, capsys, argv, name):
     assert not out.exists()
 
 
-def _failing_h_inv(self, u, p):
+def _failing_h_inv(self, u, p, scores=False):
     raise HInversionError("bisection did not converge")
 
 
@@ -271,14 +271,11 @@ def test_h_inversion_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert "edge (0,1)" in err
 
 
-def _nan_h_inv(self, u, p):
+def _nan_h_inv(self, u, p, scores=False):
     return np.full(np.broadcast(u, p).shape, np.nan)
 
 
-def test_nan_from_an_edge_exits_2(tmp_path, capsys, monkeypatch):
-    # a copula whose inverse breaks down into NaN must not leak NaN rows
-    # into the output: the next unit-interval check refuses them
-    monkeypatch.setattr(Gaussian, "h_inv", _nan_h_inv)
+def _refused_in_band_and_sample(tmp_path, capsys):
     out = tmp_path / "b.csv"
     code = main(["band", "--steps", "3", "--samples", "50", "--out", str(out)])
     assert code == 2
@@ -291,3 +288,61 @@ def test_nan_from_an_edge_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err and "(0,1)" in err
+
+
+def test_nan_from_an_edge_exits_2(tmp_path, capsys, monkeypatch):
+    # a copula whose inverse breaks down into NaN must not leak NaN rows
+    # into the output: the next check of the column refuses them
+    monkeypatch.setattr(Gaussian, "h_inv", _nan_h_inv)
+    _refused_in_band_and_sample(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_score_from_an_edge_exits_2(tmp_path, capsys, monkeypatch, bad):
+    # an infinite normal score stands for the copula value 0 or 1, outside
+    # (0,1); the next edge or the marginal refuses it and names the interval
+    def infinite_h_inv(self, u, p, scores=False):
+        return np.full(np.broadcast(u, p).shape, bad)
+
+    monkeypatch.setattr(Gaussian, "h_inv", infinite_h_inv)
+    _refused_in_band_and_sample(tmp_path, capsys)
+
+
+def _malformed_inputs(tmp_path: Path) -> dict:
+    """Spec files and a directory that the table below feeds to the CLI."""
+    (tmp_path / "adir").mkdir()
+    good = {"tree": CHAIN_TREE, "marginals": ["uniform(0,1)"] * 3,
+            "copulas": [[0, 1, "gaussian(0.5)"], [1, 2, "indep"]]}
+    files = {
+        "good": good,
+        "edges_null": {**good, "tree": {"nodes": 3, "edges": None}},
+        "node_null": {**good, "copulas": [[0, None, "gaussian(0.5)"], [1, 2, "indep"]]},
+        "zero_den": {"tree": {"nodes": 2, "edges": [[0, 1]]},
+                     "matrices": [[0, 1, "zero_den.txt"]]},
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    (tmp_path / "zero_den.txt").write_text("1/0 0\n0 1/2\n")
+    (tmp_path / "deep.json").write_text("[" * 200_000)
+    return {name: str(tmp_path / name) for name in
+            ("adir", "good.json", "edges_null.json", "node_null.json", "zero_den.json",
+             "deep.json", "out.csv")}
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["band", "--steps", "-2", "--samples", "10", "--out", "out.csv"], "--steps"),
+    (["band", "--steps", "3", "--samples", "10", "--out", "adir"], "directory"),
+    (["check", "adir", "good.json"], "directory"),
+    (["sample", "adir", "--samples", "5", "--out", "out.csv"], "directory"),
+    (["sample", "good.json", "--samples", "5", "--out", "adir"], "directory"),
+    (["check", "edges_null.json", "good.json"], "edges"),
+    (["check", "node_null.json", "good.json"], "node numbers"),
+    (["check", "zero_den.json", "zero_den.json"], "divides by zero"),
+    (["check", "deep.json", "good.json"], "nested too deeply"),
+])
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, says):
+    paths = _malformed_inputs(tmp_path)
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert says in err

@@ -21,6 +21,7 @@ from treedep.hmm import (
     walk_rho,
 )
 from treedep.marginals import Dirac, Normal
+from treedep import sampler as sampler_module
 from treedep.sampler import propagate, sample
 
 N = 20_000
@@ -111,13 +112,31 @@ def test_streaming_workers_deterministic():
     assert np.array_equal(a[:3], simulate_max(spec, 3, seed=5, workers=8))
 
 
-def test_kernel_keeps_few_walk_columns_alive():
-    spec = build_spec(20, "gaussian", const_schedule(1.0, 20))
-    refs = []
-    for node, u in propagate(spec, 2, 0, 100):
-        refs.append(weakref.ref(u))
-        del u
-        assert sum(r() is not None for r in refs) <= 2, node
+def test_kernel_keeps_few_walk_columns_alive(monkeypatch):
+    # every column the kernel makes, in either scale: the edge inverses'
+    # results and the ndtr/ndtri conversions between scores and copula values
+    made = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
+        return wrapper
+
+    for cls in (Gaussian, Clayton, SurvivalClayton, Comonotone, Independence):
+        monkeypatch.setattr(cls, "h_inv", spy(cls.h_inv))
+    monkeypatch.setattr(sampler_module, "ndtr", spy(sampler_module.ndtr))
+    monkeypatch.setattr(sampler_module, "ndtri", spy(sampler_module.ndtri))
+    for family in ("gaussian", "clayton", "sclayton", "none"):
+        spec = build_spec(20, family, const_schedule(1.0, 20))
+        # every node, as sample reads them, and the observations, as the band does
+        for nodes in (None, range(1, 42, 2)):
+            made.clear()
+            for node, x in propagate(spec, 2, 0, 100, nodes):
+                del x
+                assert sum(r() is not None for r in made) <= 2, (family, nodes, node)
+            assert made, family
 
 
 def test_simulate_max_rejects_non_walk_specs():

@@ -55,6 +55,33 @@ def test_counter_uniforms_properties():
     assert abs(np.corrcoef(u, w)[0, 1]) < 0.03
 
 
+def _reference_counter_uniforms(seed, node, start, count):
+    """The stream as first written: splitmix64 with a fresh array per step."""
+    golden = np.uint64(0x9E3779B97F4A7C15)
+
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    with np.errstate(over="ignore"):
+        key = mix(mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + golden)
+                  ^ mix(np.uint64(node + 1) * golden))
+        idx = np.arange(start, start + count, dtype=np.uint64)
+        bits = mix(key + (idx + np.uint64(1)) * golden)
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, -3])
+def test_counter_uniforms_keep_their_bits(seed):
+    for node in (0, 1, 47, 401):
+        for start in (0, 12345, 2**40):
+            got = counter_uniforms(seed, node, start, 3000)
+            want = _reference_counter_uniforms(seed, node, start, 3000)
+            assert got.tobytes() == want.tobytes(), (seed, node, start)
+    assert counter_uniforms(seed, 3, 7, 0).shape == (0,)
+
+
 def test_determinism_and_workers():
     spec = uniform_chain(0.6)
     a = sample(spec, 5000, seed=9, workers=1)
@@ -69,13 +96,17 @@ def test_determinism_and_workers():
 
 def test_propagate_visits_every_node_once_in_level_order():
     tree = DirectedTree(6, [(0, 3), (3, 1), (0, 4), (4, 2), (4, 5)])
-    spec = TreeSpec(tree, (Uniform(0, 1),) * 6,
+    spec = TreeSpec(tree, (Uniform(0, 1), Normal(1, 4)) * 3,
                     {e: Gaussian(0.5) for e in tree.edges})
     visited = [node for node, _ in propagate(spec, 3, 0, 10)]
     assert visited == list(tree.level_order()) == [0, 3, 4, 1, 2, 5]
     columns = dict(propagate(spec, 3, 2, 5))
     assert np.array_equal(sample(spec, 7, seed=3).data[2:], np.column_stack(
         [columns[node] for node in range(6)]))
+    # a subset of nodes comes out in level order with the same values
+    picked = list(propagate(spec, 3, 2, 5, nodes={5, 1, 3}))
+    assert [node for node, _ in picked] == [3, 1, 5]
+    assert all(np.array_equal(x, columns[node]) for node, x in picked)
 
 
 def test_run_chunks_caps_threads_at_core_count(monkeypatch):
@@ -96,6 +127,21 @@ def test_run_chunks_caps_threads_at_core_count(monkeypatch):
     assert sum(n for _, n in parts) == 1000
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run_chunks(10, 0, lambda start, count: None)
+
+
+def test_run_chunks_runs_rows_in_bounded_blocks(monkeypatch):
+    import treedep.sampler as sampler_mod
+
+    spec = uniform_chain(0.6)
+    whole = sample(spec, 1000, seed=4).data
+    monkeypatch.setattr(sampler_mod, "ROW_BLOCK", 64)
+    for workers in (1, 3):
+        parts = run_chunks(1000, workers, lambda start, count: (start, count))
+        assert all(0 < n <= 64 for _, n in parts)
+        assert all(a + n == b for (a, n), (b, _) in zip(parts, parts[1:]))
+        assert sum(n for _, n in parts) == 1000
+        # blocks change neither the rows nor their bits
+        assert np.array_equal(sample(spec, 1000, seed=4, workers=workers).data, whole)
 
 
 def test_independence_product_law():
