@@ -20,7 +20,7 @@ from .copulas import HInversionError, parse_copula
 from .discrete import DiscreteTreeSpec, parse_matrix_text
 from .marginals import parse_marginal
 from .simplex import SimplexError
-from .trees import TheoremQuery, parse_tree_json
+from .trees import TheoremQuery, TreeError, node_number, parse_tree_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,8 +89,8 @@ def _edge_triples(path: str, obj: dict, key: str) -> list[tuple[int, int, str]]:
     ):
         raise InputError(message)
     try:
-        return [(int(i), int(j), text) for i, j, text in entries]
-    except (TypeError, ValueError):
+        return [(node_number(i), node_number(j), text) for i, j, text in entries]
+    except TreeError:
         raise InputError(f"{message}, where i and j are node numbers") from None
 
 
@@ -103,8 +103,9 @@ def load_query(path: str | None):
     if not isinstance(obj, dict) or "path" not in obj or "k_star" not in obj:
         raise InputError(f"{path}: a query needs 'path' and 'k_star', as in {schema}")
     try:
-        return TheoremQuery(tuple(int(x) for x in obj["path"]), int(obj["k_star"]))
-    except (TypeError, ValueError):
+        return TheoremQuery(tuple(node_number(x) for x in obj["path"]),
+                            node_number(obj["k_star"]))
+    except (TypeError, TreeError):
         raise InputError(f"{path}: a query holds node numbers, as in {schema}") from None
 
 

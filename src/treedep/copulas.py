@@ -65,10 +65,14 @@ class BivariateCopula:
     """Base class: cdf, conditional CDF ``h`` and its inverse.
 
     ``takes_scores`` marks the families whose ``h_inv`` also works in normal
-    scores (``scores=True``): Gaussian and comonotone.
+    scores (``scores=True``): Gaussian and comonotone.  ``ignores_p`` marks
+    the families whose inverse does not depend on ``p`` (comonotone, where
+    v = u); their ``h_inv`` takes ``p=None`` and then checks ``u`` and
+    returns it uncopied, so a sampler need not draw ``p`` at all.
     """
 
     takes_scores = False
+    ignores_p = False
 
     def cdf(self, u, v):
         raise NotImplementedError
@@ -145,6 +149,7 @@ class Comonotone(BivariateCopula):
     """
 
     takes_scores = True
+    ignores_p = True
 
     def cdf(self, u, v):
         return np.minimum(_unit(u, "u"), _unit(v, "v"))
@@ -153,10 +158,16 @@ class Comonotone(BivariateCopula):
         u = _unit(u, "u", open_interval=True)
         return (_unit(v, "v") >= u).astype(float)
 
-    def h_inv(self, u, p, scores=False):
+    def h_inv(self, u, p=None, scores=False):
         """``u`` itself for every ``p``; with ``scores=True`` ``u`` and the
-        result are normal scores, ``ndtri`` of the copula values."""
+        result are normal scores, ``ndtri`` of the copula values.
+
+        With ``p=None`` (``ignores_p``) the checked ``u`` itself is returned,
+        not a copy.
+        """
         u = _scores(u, "u") if scores else _unit(u, "u", open_interval=True)
+        if p is None:
+            return u
         p = _unit(p, "p", open_interval=True)
         return np.broadcast_to(u, np.broadcast_shapes(u.shape, p.shape)).copy()
 
@@ -222,18 +233,28 @@ class Gaussian(BivariateCopula):
         and the result is v's score, ``rho*z + sqrt(1-rho^2)*ndtri(p)``.  That
         skips the ndtr/ndtri round trip, which costs time and loses precision
         near 1, where a double holds ``1 - v`` only to about 1e-16.  ``p`` is a
-        probability in (0,1) either way; a score must be finite.
+        probability in (0,1) either way; a score must be finite.  The result
+        is computed in one buffer of the broadcast shape, plus ``ndtri(p)``;
+        the caller's arrays are only read.
         """
         u = _scores(u, "u") if scores else _unit(u, "u", open_interval=True)
         p = _unit(p, "p", open_interval=True)
+        shape = np.broadcast_shapes(u.shape, p.shape)
         if self.rho == 1.0:
-            return np.broadcast_to(u, np.broadcast_shapes(u.shape, p.shape)).copy()
+            return np.broadcast_to(u, shape).copy()
         if self.rho == -1.0:
             v = -u if scores else 1.0 - u
-            return np.broadcast_to(v, np.broadcast_shapes(u.shape, p.shape)).copy()
-        denom = math.sqrt(1.0 - self.rho * self.rho)
-        z = self.rho * (u if scores else ndtri(u)) + denom * ndtri(p)
-        return z if scores else ndtr(z)
+            return np.broadcast_to(v, shape).copy()
+        out = np.empty(shape)
+        if scores:
+            np.multiply(u, self.rho, out=out)
+        else:
+            ndtri(u, out=out)
+            out *= self.rho
+        t = ndtri(p)
+        t *= math.sqrt(1.0 - self.rho * self.rho)
+        out += t
+        return out if scores else ndtr(out, out=out)
 
     def flags(self):
         pos = self.rho >= 0.0
@@ -371,12 +392,23 @@ class Clayton(BivariateCopula):
         if self._indep():
             return np.broadcast_to(p, np.broadcast_shapes(u.shape, p.shape)).copy()
         th = self.theta
-        a = -th * np.log(u)
-        s = -(th / (th + 1.0)) * np.log(p)
-        # v^-theta = e^(a+s) - e^a + 1, evaluated without overflow
-        bracket = -np.expm1(-s) + np.exp(-(a + s))
-        log_inner = (a + s) + np.log(bracket)
-        return np.clip(np.exp(-log_inner / th), 0.0, 1.0)
+        # with a = -th*log(u) and s = -th/(th+1)*log(p), v^-theta is
+        # e^(a+s) - e^a + 1, evaluated without overflow as
+        # (a+s) + log(e^-(a+s) - expm1(-s)), in three owned buffers
+        shape = np.broadcast_shapes(u.shape, p.shape)
+        x, y, e = np.empty(shape), np.empty(shape), np.empty(shape)
+        np.log(u, out=x)
+        x *= -th
+        np.log(p, out=y)
+        y *= -(th / (th + 1.0))
+        x += y
+        np.expm1(np.negative(y, out=y), out=y)
+        np.exp(np.negative(x, out=e), out=e)
+        np.subtract(e, y, out=y)
+        x += np.log(y, out=y)
+        np.negative(x, out=x)
+        x /= th
+        return np.clip(np.exp(x, out=x), 0.0, 1.0, out=x)
 
     def flags(self):
         return DependenceFlags(True, True, True)
@@ -427,7 +459,11 @@ class SurvivalClayton(BivariateCopula):
     def h_inv(self, u, p):
         u = _unit(u, "u", open_interval=True)
         p = _unit(p, "p", open_interval=True)
-        return np.clip(1.0 - self._base().h_inv(1.0 - u, 1.0 - p), 0.0, 1.0)
+        v = self._base().h_inv(1.0 - u, 1.0 - p)
+        # a buffer of its own, so that no array is the result of two inverses
+        out = np.empty(v.shape)
+        np.subtract(1.0, v, out=out)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def flags(self):
         return DependenceFlags(True, True, True)

@@ -115,12 +115,20 @@ class Normal(Marginal):
 
         With ``scores=True``, ``t`` holds finite normal scores ``z`` (the
         probabilities are ``ndtr(z)``) and the quantile is ``mu + sigma * z``,
-        with no ``ndtri`` call.
+        with no ``ndtri`` call.  Either way the result is computed in one new
+        buffer, and ``t`` is only read.
         """
         t = self._validate_scores(t) if scores else self._validate_prob(t)
         if self.var == 0:
             return np.full_like(t, self.mu)
-        return self.mu + self.sigma * (t if scores else ndtri(t))
+        out = np.empty(t.shape)
+        if scores:
+            np.multiply(t, self.sigma, out=out)
+        else:
+            ndtri(t, out=out)
+            out *= self.sigma
+        out += self.mu
+        return out
 
     def mean(self) -> float:
         return self.mu

@@ -149,7 +149,11 @@ def propagate(spec: TreeSpec, seed: int, start: int, count: int,
     Rows start..start+count-1; ``nodes`` picks the nodes to yield (all by
     default), and the others are propagated without a quantile.  The root
     takes its counter uniforms as they are; every other node inverts its
-    edge copula's conditional CDF at the parent's column.  A column is held
+    edge copula's conditional CDF at the parent's column.  An edge whose
+    family ignores p (``ignores_p``: comonotone) draws no uniforms, and its
+    node's column is the parent's column itself, checked whole by the
+    family's ``h_inv``; every other node's uniforms stay keyed by (seed,
+    node, row), so skipping a stream changes no other value.  A column is held
     in the scale its edge produces: normal scores z (copula value ndtr(z))
     after Gaussian and comonotone edges, copula values u after the other
     families.  It is converted at most once, and only when a child edge or
@@ -167,14 +171,14 @@ def propagate(spec: TreeSpec, seed: int, start: int, count: int,
         last_child[(parent, spec.copulas[(parent, child)].takes_scores)] = child
     live: dict[tuple[int, bool], np.ndarray] = {}
     for node in order:
-        p = counter_uniforms(seed, node, start, count)
         parent = tree.parent(node)
         if parent is None:
-            col, scores = p, False
+            col, scores = counter_uniforms(seed, node, start, count), False
         else:
             cop = spec.copulas[(parent, node)]
             scores = cop.takes_scores
             key = (parent, scores)
+            p = None if cop.ignores_p else counter_uniforms(seed, node, start, count)
             try:
                 col = (cop.h_inv(live[key], p, scores=True) if scores
                        else cop.h_inv(live[key], p))

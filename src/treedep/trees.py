@@ -28,6 +28,10 @@ class DirectedTree:
         if node_count < 1:
             raise TreeError("node_count must be >= 1")
         edge_list = [(int(i), int(j)) for i, j in edges]
+        # before any list of node_count entries is built
+        if len(edge_list) != node_count - 1:
+            raise TreeError(f"a tree on {node_count} nodes has {node_count - 1} edges, "
+                            f"got {len(edge_list)}")
         if len(set(edge_list)) != len(edge_list):
             raise TreeError("duplicate edges")
         parent = [-1] * node_count
@@ -43,8 +47,6 @@ class DirectedTree:
                 raise TreeError(f"node {j} has more than one parent")
             parent[j] = i
             children[i].append(j)
-        if len(edge_list) != node_count - 1:
-            raise TreeError("edge count must be node_count - 1")
         depth = [-1] * node_count
         depth[0] = 0
         stack = [0]
@@ -291,13 +293,24 @@ def parse_tree_text(text: str, root=None) -> tuple[DirectedTree, tuple]:
     return relabel(edges, root=root)
 
 
+def node_number(x) -> int:
+    """``x`` if it is a node number, an ``int`` but not a ``bool``; else ``TreeError``.
+
+    A float is refused, not truncated: ``3.9`` is not node 3, and JSON's
+    ``Infinity`` and ``NaN`` are floats too.
+    """
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TreeError(f"a node number is an integer, got {x!r:.40}")
+
+
 def parse_tree_json(obj) -> DirectedTree:
     """Parse ``{"nodes": d+1, "edges": [[i, j], ...]}`` (dense labels)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        edges = [(int(i), int(j)) for i, j in obj["edges"]]
-        nodes = int(obj["nodes"])
+        edges = [(node_number(i), node_number(j)) for i, j in obj["edges"]]
+        nodes = node_number(obj["nodes"])
     except (TypeError, ValueError, KeyError):
         raise TreeError('a tree is {"nodes": <node count>, "edges": [[i, j], ...]} '
                         'with integer node labels') from None

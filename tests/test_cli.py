@@ -319,14 +319,25 @@ def _malformed_inputs(tmp_path: Path) -> dict:
         "node_null": {**good, "copulas": [[0, None, "gaussian(0.5)"], [1, 2, "indep"]]},
         "zero_den": {"tree": {"nodes": 2, "edges": [[0, 1]]},
                      "matrices": [[0, 1, "zero_den.txt"]]},
+        # node numbers that int() would overflow on or quietly truncate
+        "nodes_huge": {**good, "tree": {**CHAIN_TREE, "nodes": 10**30}},
+        "nodes_float": {**good, "tree": {**CHAIN_TREE, "nodes": 3.9}},
+        "edge_float": {**good, "tree": {"nodes": 3, "edges": [[0, 1.7], [True, 2]]}},
+        "edge_inf": {**good, "tree": {"nodes": 3, "edges": [[0, 1], [1, float("inf")]]}},
+        "triple_float": {**good, "copulas": [[0, 1.2, "gaussian(0.5)"], [1, 2, "indep"]]},
+        "triple_inf": {**good, "copulas": [[0, float("inf"), "gaussian(0.5)"], [1, 2, "indep"]]},
+        "query_float": {"path": [1, 2.0], "k_star": 1},
+        "query_bool": {"path": [1, 2], "k_star": True},
     }
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     (tmp_path / "zero_den.txt").write_text("1/0 0\n0 1/2\n")
     (tmp_path / "deep.json").write_text("[" * 200_000)
+    # Python's json reads 1e400 as inf
+    (tmp_path / "nodes_inf.json").write_text(
+        json.dumps(good).replace('"nodes": 3', '"nodes": 1e400'))
     return {name: str(tmp_path / name) for name in
-            ("adir", "good.json", "edges_null.json", "node_null.json", "zero_den.json",
-             "deep.json", "out.csv")}
+            ("adir", "deep.json", "out.csv", "nodes_inf.json", *(f"{f}.json" for f in files))}
 
 
 @pytest.mark.parametrize("argv, says", [
@@ -339,6 +350,15 @@ def _malformed_inputs(tmp_path: Path) -> dict:
     (["check", "node_null.json", "good.json"], "node numbers"),
     (["check", "zero_den.json", "zero_den.json"], "divides by zero"),
     (["check", "deep.json", "good.json"], "nested too deeply"),
+    (["sample", "nodes_inf.json", "--samples", "5", "--out", "out.csv"], "integer node labels"),
+    (["sample", "nodes_huge.json", "--samples", "5", "--out", "out.csv"], "edges, got 2"),
+    (["sample", "nodes_float.json", "--samples", "5", "--out", "out.csv"], "integer node labels"),
+    (["sample", "edge_float.json", "--samples", "5", "--out", "out.csv"], "integer node labels"),
+    (["check", "edge_inf.json", "good.json"], "integer node labels"),
+    (["sample", "triple_float.json", "--samples", "5", "--out", "out.csv"], "node numbers"),
+    (["check", "triple_inf.json", "good.json"], "node numbers"),
+    (["check", "good.json", "good.json", "--query", "query_float.json"], "node numbers"),
+    (["check", "good.json", "good.json", "--query", "query_bool.json"], "node numbers"),
 ])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, says):
     paths = _malformed_inputs(tmp_path)

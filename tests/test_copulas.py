@@ -296,6 +296,10 @@ def test_unit_arguments_reject_nan(cop):
         cop.h(0.4, np.array([0.3, NAN]))
     # empty arrays pass the checks; closed-interval ends are admitted
     assert cop.h_inv(np.array([]), 0.5).shape == (0,)
+    # 0-d arguments give a 0-d result (the in-place kernels write into
+    # buffers of the broadcast shape, not into numpy scalars)
+    assert np.shape(cop.h_inv(np.float64(0.2), np.array(0.5))) == ()
+    assert 0.0 < float(cop.h_inv(0.2, 0.5)) < 1.0
     assert np.allclose(cop.cdf(np.array([0.0, 1.0]), 1.0), [0.0, 1.0])
 
 

@@ -33,7 +33,8 @@ from treedep.marginals import (
     RectifiedNormal,
     Uniform,
 )
-from treedep.sampler import TreeSpec, counter_uniforms, sample
+from treedep import sampler
+from treedep.sampler import TreeSpec, counter_uniforms, propagate, sample
 from treedep.trees import DirectedTree, make_chain
 
 EPS = np.finfo(float).eps
@@ -180,3 +181,126 @@ def test_sample_agrees_with_the_copula_scale_reference():
         assert gap <= 1e-12, (node, gap)
     exact = [0, 2, 5, 6, 7, 9, 14]
     assert np.array_equal(got[:, exact], want[:, exact])
+
+
+# -- the in-place kernels against the expressions they replaced ----------------------
+# Each reference is the kernel's code before it computed into owned buffers;
+# the rewrite runs the same operations in the same order, so the bits agree.
+
+
+def gaussian_reference(rho, u, p, scores=False):
+    z = rho * (u if scores else ndtri(u)) + math.sqrt(1.0 - rho * rho) * ndtri(p)
+    return z if scores else ndtr(z)
+
+
+def clayton_reference(th, u, p):
+    a = -th * np.log(u)
+    s = -(th / (th + 1.0)) * np.log(p)
+    bracket = -np.expm1(-s) + np.exp(-(a + s))
+    log_inner = (a + s) + np.log(bracket)
+    return np.clip(np.exp(-log_inner / th), 0.0, 1.0)
+
+
+def sclayton_reference(th, u, p):
+    return np.clip(1.0 - clayton_reference(th, 1.0 - u, 1.0 - p), 0.0, 1.0)
+
+
+U = np.clip(np.random.default_rng(2).uniform(size=3000), 2.0**-53, 1.0 - 2.0**-53)
+# 0-d, 1-d, u broadcast over p, p broadcast over u, and an outer product
+SHAPES = {
+    "0-d": (np.float64(0.3), np.float64(0.8)),
+    "python floats": (0.999, 1e-9),
+    "1-d": (U, P[:U.size]),
+    "u scalar": (np.float64(0.05), P[:U.size]),
+    "p scalar": (U, np.array(0.6)),
+    "outer": (U[:40, None], P[:30]),
+}
+KERNELS = {
+    "gaussian": (lambda u, p: Gaussian(0.7).h_inv(u, p),
+                 lambda u, p: gaussian_reference(0.7, u, p)),
+    "gaussian negative": (lambda u, p: Gaussian(-0.95).h_inv(u, p),
+                          lambda u, p: gaussian_reference(-0.95, u, p)),
+    "gaussian scores": (lambda z, p: Gaussian(0.7).h_inv(ndtri(z), p, scores=True),
+                        lambda z, p: gaussian_reference(0.7, ndtri(z), p, scores=True)),
+    "clayton": (lambda u, p: Clayton(2.0).h_inv(u, p),
+                lambda u, p: clayton_reference(2.0, u, p)),
+    "clayton strong": (lambda u, p: Clayton(40.0).h_inv(u, p),
+                       lambda u, p: clayton_reference(40.0, u, p)),
+    "sclayton": (lambda u, p: SurvivalClayton(1.5).h_inv(u, p),
+                 lambda u, p: sclayton_reference(1.5, u, p)),
+    "normal quantile": (lambda t, _: Normal(1.5, 4.0).quantile(t),
+                        lambda t, _: 1.5 + 2.0 * ndtri(t)),
+    "normal quantile scores": (lambda t, _: Normal(-3.0, 0.01).quantile(ndtri(t), scores=True),
+                               lambda t, _: -3.0 + 0.1 * ndtri(t)),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_in_place_kernels_keep_the_bits_and_leave_their_inputs_alone(kernel, shape):
+    run, reference = KERNELS[kernel]
+    u, p = SHAPES[shape]
+    before = [np.array(u, copy=True), np.array(p, copy=True)]
+    got = run(u, p)
+    want = reference(u, p)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(u, before[0]) and np.array_equal(p, before[1])
+
+
+def test_clayton_at_the_independence_cutoff_keeps_p():
+    # below theta = 1e-6 both Clayton families return p (and 1 - (1 - p))
+    assert np.array_equal(Clayton(1e-7).h_inv(U, P[:U.size]), P[:U.size])
+    assert np.array_equal(SurvivalClayton(1e-7).h_inv(U, np.float64(0.25)),
+                          np.full(U.size, 1.0 - (1.0 - 0.25)))
+    assert np.shape(SurvivalClayton(1e-7).h_inv(0.5, 0.25)) == ()
+
+
+def test_comonotone_without_p_checks_and_returns_the_column_itself():
+    assert Comonotone.ignores_p
+    assert not any(c.ignores_p for c in (Gaussian(0.5), Clayton(2.0), SurvivalClayton(2.0),
+                                         Independence()))
+    assert Comonotone().h_inv(Z, None, scores=True) is Z
+    assert Comonotone().h_inv(U, None) is U
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(CopulaError, match=r"\(0,1\)"):
+            Comonotone().h_inv(np.array([0.0, bad]), None, scores=True)
+    for bad in (np.nan, 0.0, 1.0):
+        with pytest.raises(CopulaError, match=r"\(0,1\)"):
+            Comonotone().h_inv(np.array([0.5, bad]), None)
+
+
+def test_propagate_draws_no_stream_for_a_comonotone_node(monkeypatch):
+    spec = mixed_spec()
+    drawn = []
+
+    def spy(seed, node, start, count):
+        drawn.append(node)
+        return counter_uniforms(seed, node, start, count)
+
+    monkeypatch.setattr(sampler, "counter_uniforms", spy)
+    got = sample(spec, 500, seed=4).data
+    p_free = {j for (i, j), cop in spec.copulas.items() if isinstance(cop, Comonotone)}
+    assert p_free == {3, 9}
+    assert sorted(drawn) == sorted(set(range(spec.tree.node_count)) - p_free)
+    # the comonotone nodes carry their parents' copula values, up to the
+    # rounding of a quantile and a cdf
+    for node in p_free:
+        parent = spec.tree.parent(node)
+        assert np.allclose(spec.marginals[node].cdf(got[:, node]),
+                           spec.marginals[parent].cdf(got[:, parent]), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_comonotone_edge_checks_its_whole_parent_column(monkeypatch, bad):
+    # no quantile is asked for, so the comonotone edge's check is the only one
+    def broken_h_inv(self, u, p, scores=False):
+        out = np.zeros(np.broadcast(u, p).shape)
+        out[-1] = bad
+        return out
+
+    spec = TreeSpec(make_chain(2), (Normal(0, 1),) * 3,
+                    {(0, 1): Gaussian(0.5), (1, 2): Comonotone()})
+    monkeypatch.setattr(Gaussian, "h_inv", broken_h_inv)
+    with pytest.raises(CopulaError, match=r"\(0,1\)"):
+        list(propagate(spec, 0, 0, 100, nodes=()))

@@ -11,6 +11,7 @@ from treedep.trees import (
     make_chain,
     make_hmm_tree,
     make_star,
+    node_number,
     parse_tree_json,
     parse_tree_text,
     relabel,
@@ -169,6 +170,19 @@ def test_text_and_json_io(branchy, tmp_path):
         parse_tree_text("0 1 2")
     with pytest.raises(TreeError):
         parse_tree_text("# nothing here")
+
+
+def test_node_numbers_are_ints_and_the_count_is_checked_first():
+    assert node_number(7) == 7
+    for bad in (3.9, 2.0, True, float("inf"), float("nan"), "1", None):
+        with pytest.raises(TreeError, match="integer"):
+            node_number(bad)
+    for nodes in (3.0, float("inf"), False):
+        with pytest.raises(TreeError, match="integer node labels"):
+            parse_tree_json({"nodes": nodes, "edges": [[0, 1], [1, 2]]})
+    # refused before a list of node_count entries is built
+    with pytest.raises(TreeError, match="edges, got 2"):
+        DirectedTree(10**30, [(0, 1), (1, 2)])
 
 
 def test_queries():
