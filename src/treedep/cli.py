@@ -1,9 +1,8 @@
 """Command-line front end: counterexample gallery, audits, sampling, bands.
 
 Exit codes: 0 success, 1 a check failed, 2 malformed input, a file that
-cannot be read or written, or a numerical failure (a conditional inverse or
-the exact simplex gave up); every exit 2 prints a one-line ``error:``
-message.
+cannot be read or written, or the exact simplex giving up; every exit 2
+prints a one-line ``error:`` message.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, counterexamples, hmm, ordering, sampler
-from .copulas import HInversionError, parse_copula
+from .copulas import parse_copula
 from .discrete import DiscreteTreeSpec, parse_matrix_text
 from .marginals import parse_marginal
 from .simplex import SimplexError
@@ -244,7 +243,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, HInversionError, SimplexError) as exc:
+    except (ValueError, OSError, SimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

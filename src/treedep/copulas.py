@@ -20,10 +20,6 @@ class CopulaError(ValueError):
     """Raised for invalid copula parameters or arguments."""
 
 
-class HInversionError(RuntimeError):
-    """Raised when the conditional inverse fails to converge."""
-
-
 @dataclass(frozen=True)
 class DependenceFlags:
     is_si: bool
@@ -82,8 +78,8 @@ class BivariateCopula:
         raise NotImplementedError
 
     def h_inv(self, u, p):
-        """Solve ``h(u, v) = p`` for v; generic bisection fallback."""
-        return h_inv_bisection(self, u, p)
+        """Solve ``h(u, v) = p`` for v."""
+        raise NotImplementedError
 
     def flags(self) -> DependenceFlags:
         raise NotImplementedError
@@ -94,25 +90,6 @@ class BivariateCopula:
     def transpose(self) -> "BivariateCopula":
         # every implemented family is exchangeable
         return self
-
-
-def h_inv_bisection(cop: BivariateCopula, u, p, iters: int = 80, tol: float = 1e-10):
-    """Bisection solve of ``h(u, v) = p`` in v; raises on non-convergence."""
-    u = _unit(u, "u", open_interval=True)
-    p = _unit(p, "p", open_interval=True)
-    u, p = np.broadcast_arrays(u, p)
-    lo = np.zeros_like(p)
-    hi = np.ones_like(p)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = cop.h(u, mid) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    v = 0.5 * (lo + hi)
-    err = np.max(np.abs(cop.h(u, v) - p))
-    if err > tol:
-        raise HInversionError(f"h_inv bisection residual {err:.3e} exceeds {tol:.1e}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -344,6 +321,14 @@ def _binorm_cdf(h, k, rho: float):
 _THETA_INDEP_CUTOFF = 1e-6
 
 
+def _check_theta(theta: float) -> None:
+    """Refuse a Clayton parameter that is not finite or is negative."""
+    if not math.isfinite(theta):
+        raise CopulaError(f"theta must be finite, got {float(theta)}")
+    if theta < 0.0:
+        raise CopulaError("theta must be >= 0")
+
+
 @dataclass(frozen=True)
 class Clayton(BivariateCopula):
     """Clayton family for theta >= 0; evaluated in log space.
@@ -355,8 +340,7 @@ class Clayton(BivariateCopula):
     theta: float
 
     def __post_init__(self):
-        if self.theta < 0.0:
-            raise CopulaError("theta must be >= 0")
+        _check_theta(self.theta)
 
     def _indep(self) -> bool:
         return self.theta < _THETA_INDEP_CUTOFF
@@ -435,8 +419,7 @@ class SurvivalClayton(BivariateCopula):
     theta: float
 
     def __post_init__(self):
-        if self.theta < 0.0:
-            raise CopulaError("theta must be >= 0")
+        _check_theta(self.theta)
 
     def _base(self) -> Clayton:
         return Clayton(self.theta)
@@ -460,10 +443,8 @@ class SurvivalClayton(BivariateCopula):
         u = _unit(u, "u", open_interval=True)
         p = _unit(p, "p", open_interval=True)
         v = self._base().h_inv(1.0 - u, 1.0 - p)
-        # a buffer of its own, so that no array is the result of two inverses
-        out = np.empty(v.shape)
-        np.subtract(1.0, v, out=out)
-        return np.clip(out, 0.0, 1.0, out=out)
+        np.subtract(1.0, v, out=v)
+        return np.clip(v, 0.0, 1.0, out=v)
 
     def flags(self):
         return DependenceFlags(True, True, True)
@@ -486,16 +467,6 @@ def open_grid(size: int) -> np.ndarray:
 
 
 GRID_TOL = 1e-12
-
-
-def numeric_si_check(cop: BivariateCopula, grid_size: int = 129, tol: float = GRID_TOL) -> bool:
-    """Grid test of stochastic increasingness of V in U.
-
-    True iff ``h(., v)`` is nonincreasing in u at every grid v.
-    """
-    g = open_grid(grid_size)
-    hv = cop.h(g[:, None], g[None, :])
-    return bool(np.all(np.diff(hv, axis=0) <= tol))
 
 
 def cdf_table(cop: BivariateCopula, grid_size: int) -> np.ndarray:
@@ -521,17 +492,7 @@ def lo_leq(c1: BivariateCopula, c2: BivariateCopula, grid_size: int = 129,
     return table_lo_leq(cdf_table(c1, grid_size), cdf_table(c2, grid_size), tol)
 
 
-def pqd_check(cop: BivariateCopula, grid_size: int = 129, tol: float = GRID_TOL) -> bool:
-    """Positive quadrant dependence: cdf dominates the product copula."""
-    return table_pqd(cdf_table(cop, grid_size), tol)
-
-
 # -- Kendall tau matching -----------------------------------------------------
-
-
-def gaussian_tau(rho: float) -> float:
-    """Kendall tau of the Gaussian copula with correlation ``rho``."""
-    return 2.0 / math.pi * math.asin(rho)
 
 
 def theta_from_tau(tau: float) -> float:
@@ -545,7 +506,7 @@ def theta_from_tau(tau: float) -> float:
 
 def theta_from_rho(rho: float) -> float:
     """Clayton parameter whose Kendall tau matches Gaussian(rho)."""
-    return theta_from_tau(gaussian_tau(rho))
+    return theta_from_tau(Gaussian(rho).kendall_tau())
 
 
 # -- literal syntax -----------------------------------------------------------

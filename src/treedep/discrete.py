@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -230,14 +229,6 @@ class DiscreteJoint:
     def marginal(self, node: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self._kept((self._node(node),)))
 
-    def marginalize(self, nodes: Sequence[int]) -> "DiscreteJoint":
-        """Joint law of the given nodes, kept in ascending node order."""
-        nodes = sorted({self._node(n) for n in nodes})
-        if not nodes:
-            raise DiscreteError("node subset must be nonempty")
-        supports = tuple(self.supports[n] for n in nodes)
-        return DiscreteJoint._of(supports, self._kept(nodes), self.den)
-
     def bivariate(self, i: int, j: int) -> DiscreteBivariate:
         """Edge marginal as a :class:`DiscreteBivariate` (i rows, j columns).
 
@@ -349,14 +340,6 @@ class DiscreteBivariate(DiscreteJoint):
         table = np.array([[x * (lcm // d) for x in row] for row, d in reduced], dtype=object)
         return table, lcm
 
-    def conditional(self, given_row: int) -> tuple[Fraction, ...]:
-        """Conditional law of the column variable given row index ``given_row``."""
-        row = self.table[given_row].tolist()
-        mass = sum(row)
-        if mass == 0:
-            raise DiscreteError(f"conditioning row {given_row} has zero mass")
-        return tuple(Fraction(x, mass) for x in row)
-
     def transpose(self) -> "DiscreteBivariate":
         return self._of(self.supports[::-1], self.table.T, self.den)
 
@@ -401,18 +384,13 @@ def markov_joint(
     Mass factorizes as the root marginal times one conditional per edge.
     The edge laws must form a :class:`DiscreteTreeSpec`: every tree edge
     carries a bivariate law, and edges sharing a node imply the same
-    support and marginal there.
+    support and marginal there.  Support values of zero mass are allowed:
+    a conditional given one multiplies a zero, so the joint is still unique.
     """
     spec = DiscreteTreeSpec(tree, edge_dists)
     laws = spec.node_laws
     supports = tuple(values for values, _ in laws)
     shape = _grid_shape(supports)
-    if any(w == 0 for _, marg in laws for w in marg):
-        warnings.warn(
-            "some support values carry zero mass; conditionals there are "
-            "fixed only up to null sets",
-            stacklevel=2,
-        )
 
     # broadcast product in level order: the root marginal's numerators, then
     # each edge's conditional w(i,j)/m_parent(i) over its lcm on the (parent,
@@ -464,6 +442,3 @@ class DiscreteTreeSpec:
             install(i, biv.row_values, biv.row_marginal(), (i, j))
             install(j, biv.col_values, biv.col_marginal(), (i, j))
         object.__setattr__(self, "node_laws", tuple(laws))
-
-    def realize(self) -> DiscreteJoint:
-        return markov_joint(self.tree, self.edge_dists)

@@ -24,7 +24,6 @@ from .copulas import (
     Independence,
     SurvivalClayton,
     lo_leq,
-    numeric_si_check,
     theta_from_rho,
 )
 from .marginals import Dirac, Marginal, Normal
@@ -242,11 +241,7 @@ def ambiguity_membership(
     f = candidate_marginal.cdf(t)
     if not (np.all(hi.cdf(t) >= f - 1e-12) and np.all(f >= lo.cdf(t) - 1e-12)):
         return False
-    try:
-        si = candidate_copula.flags().is_si
-    except NotImplementedError:
-        si = numeric_si_check(candidate_copula, grid_size)
-    if not si:
+    if not candidate_copula.flags().is_si:
         return False
     anchor = observation_copula(anchor_family, n, float(sigma_bar))
     return lo_leq(anchor, candidate_copula, grid_size)

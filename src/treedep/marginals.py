@@ -26,6 +26,13 @@ def _phi(z):
     return np.exp(-0.5 * np.square(z)) / _SQRT2PI
 
 
+def _require_finite(what: str, *values) -> None:
+    """Refuse a NaN or infinite parameter, naming it."""
+    for v in values:
+        if not math.isfinite(v):
+            raise MarginalError(f"{what} must be finite, got {float(v)}")
+
+
 @dataclass(frozen=True)
 class RangeClosure:
     """Canonical form of the closure of a CDF's range.
@@ -97,6 +104,8 @@ class Normal(Marginal):
     takes_scores = True
 
     def __post_init__(self):
+        _require_finite("normal mean", self.mu)
+        _require_finite("normal variance", self.var)
         if self.var < 0:
             raise MarginalError("variance must be >= 0")
 
@@ -156,6 +165,7 @@ class Uniform(Marginal):
     continuous = True
 
     def __post_init__(self):
+        _require_finite("uniform bounds", self.a, self.b)
         if not self.a < self.b:
             raise MarginalError("uniform needs a < b")
 
@@ -191,6 +201,7 @@ class DiscreteUniform(Marginal):
     def __post_init__(self):
         if not self.values:
             raise MarginalError("value list must be nonempty")
+        _require_finite("discrete values", *self.values)
         if list(self.values) != sorted(set(self.values)):
             raise MarginalError("values must be sorted and distinct")
 
@@ -223,6 +234,9 @@ class DiscreteUniform(Marginal):
 class Dirac(Marginal):
     point: float
 
+    def __post_init__(self):
+        _require_finite("dirac point", self.point)
+
     def cdf(self, x):
         x = self._validate_real(x)
         return (x >= self.point).astype(float)
@@ -251,6 +265,7 @@ class RectifiedNormal(Marginal):
     sigma: float
 
     def __post_init__(self):
+        _require_finite("rectnormal sigma", self.sigma)
         if self.sigma <= 0:
             raise MarginalError("sigma must be > 0")
 
@@ -287,6 +302,7 @@ class Empirical(Marginal):
     def __post_init__(self):
         if not self.sample:
             raise MarginalError("sample must be nonempty")
+        _require_finite("empirical sample values", *self.sample)
         if list(self.sample) != sorted(self.sample):
             raise MarginalError("sample must be sorted")
 

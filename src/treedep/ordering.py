@@ -272,34 +272,22 @@ def psmd_check(joint: DiscreteJoint, cell_guard: int = SM_CELL_GUARD) -> OrderRe
 # -- Schur order for conditional distributions --------------------------------
 
 
-def _rearranged_cumulative(slices: list[tuple[Fraction, Fraction]]):
-    """Decreasing rearrangement of a step function given as (value, width).
+def _rearranged_segments(rows, jv: int):
+    """Decreasing rearrangement of u -> F(v_jv | conditioning quantile u).
 
-    Returns breakpoints x_1 < ... < x_m = total width and the cumulative
-    integrals of the rearrangement at those points.
+    ``rows`` holds ``(mass, cumulative row, scale)`` per positive-mass row, in
+    integer numerators over one denominator, with ``scale`` the lcm of the
+    masses over this row's mass.  Row r is a step of height cum[jv] / mass
+    and width mass; ``cum[jv] * scale`` orders the heights exactly, and the
+    stable sort keeps tied rows in row order.  Returns one ``(right end, left
+    end, cumulative at the left end, cum[jv], mass)`` per step.
     """
-    ordered = sorted((s for s in slices if s[1] > 0), key=lambda s: s[0], reverse=True)
-    breaks: list[Fraction] = []
-    cums: list[Fraction] = []
-    x = Fraction(0)
-    g = Fraction(0)
-    for value, width in ordered:
-        x += width
-        g += value * width
-        breaks.append(x)
-        cums.append(g)
-    return ordered, breaks, cums
-
-
-def _eval_cumulative(ordered, breaks, cums, x: Fraction) -> Fraction:
-    """Cumulative integral of the rearrangement at an arbitrary point."""
-    prev_x = Fraction(0)
-    prev_g = Fraction(0)
-    for (value, _), bx, bg in zip(ordered, breaks, cums):
-        if x <= bx:
-            return prev_g + value * (x - prev_x)
-        prev_x, prev_g = bx, bg
-    return prev_g
+    out, x, g = [], 0, 0
+    for mass, cum, _ in sorted(rows, key=lambda r: r[1][jv] * r[2], reverse=True):
+        out.append((x + mass, x, g, cum[jv], mass))
+        x += mass
+        g += cum[jv]
+    return out
 
 
 def schur_leq(bx: DiscreteBivariate, by: DiscreteBivariate,
@@ -312,6 +300,13 @@ def schur_leq(bx: DiscreteBivariate, by: DiscreteBivariate,
     cumulative rearrangement integrals below the second's, with equal totals.
     The comparison only uses the multiset of (conditional CDF, weight) pairs,
     so it is invariant under rearranging the conditioning variable.
+
+    The totals are the conditioned CDF at v, equal because the conditioned
+    marginals agree.  The integrals are compared at every breakpoint of
+    either rearrangement in one sweep over the integer tables: at x on a
+    step (left end x0, cumulative g0, cum c, mass m) the integral is
+    (g0 * m + c * (x - x0)) / (m * den), so two integrals compare by
+    cross-multiplying their masses.
     """
     if direction == "row_given_col":
         bx, by = bx.transpose(), by.transpose()
@@ -319,39 +314,34 @@ def schur_leq(bx: DiscreteBivariate, by: DiscreteBivariate,
         raise OrderingError(f"unknown direction {direction!r}")
     if bx.col_values != by.col_values or bx.col_marginal() != by.col_marginal():
         raise OrderingError("conditioned-variable marginals must agree exactly")
+    den = math.lcm(bx.den, by.den)
 
-    def prepared(biv):
-        widths = biv.row_marginal()
-        out = []
-        for r, w in enumerate(widths):
-            if w == 0:
-                continue
-            cdf = list(itertools.accumulate(biv.weights[r]))
-            out.append((tuple(c / w for c in cdf), w))
-        return out
+    def rows(biv):
+        k = den // biv.den
+        cums = [list(itertools.accumulate(x * k for x in row)) for row in biv.table.tolist()]
+        cums = [cum for cum in cums if cum[-1]]
+        lcm = math.lcm(*(cum[-1] for cum in cums))
+        return [(cum[-1], cum, lcm // cum[-1]) for cum in cums]
 
-    px, py = prepared(bx), prepared(by)
-    ncols = len(bx.col_values)
-    for jv in range(ncols):
-        sx = [(cdf[jv], w) for cdf, w in px]
-        sy = [(cdf[jv], w) for cdf, w in py]
-        ox, bx_pts, cx = _rearranged_cumulative(sx)
-        oy, by_pts, cy = _rearranged_cumulative(sy)
-        for x in sorted(set(bx_pts) | set(by_pts)):
-            gx = _eval_cumulative(ox, bx_pts, cx, x)
-            gy = _eval_cumulative(oy, by_pts, cy, x)
-            if x == 1:
-                if gx != gy:
-                    return OrderReport(
-                        "schur", False,
-                        witness={"conditioned_value": bx.col_values[jv],
-                                 "total_x": gx, "total_y": gy},
-                    )
-            elif gx > gy:
+    rx, ry = rows(bx), rows(by)
+    for jv in range(len(bx.col_values)):
+        sx, sy = _rearranged_segments(rx, jv), _rearranged_segments(ry, jv)
+        ix = iy = 0
+        for x in sorted({s[0] for s in sx} | {s[0] for s in sy}):
+            while sx[ix][0] < x:
+                ix += 1
+            while sy[iy][0] < x:
+                iy += 1
+            _, x0, g0, c, mx = sx[ix]
+            gx = g0 * mx + c * (x - x0)
+            _, x0, g0, c, my = sy[iy]
+            gy = g0 * my + c * (x - x0)
+            if gx * my > gy * mx:
                 return OrderReport(
                     "schur", False,
                     witness={"conditioned_value": bx.col_values[jv],
-                             "at": x, "cum_x": gx, "cum_y": gy},
+                             "at": Fraction(x, den), "cum_x": Fraction(gx, mx * den),
+                             "cum_y": Fraction(gy, my * den)},
                 )
     return OrderReport("schur", True)
 
@@ -361,15 +351,15 @@ def schur_leq(bx: DiscreteBivariate, by: DiscreteBivariate,
 
 @dataclass
 class EdgeFlags:
-    si_child_given_parent_x: bool | None = None
-    si_child_given_parent_y: bool | None = None
-    si_parent_given_child_y: bool | None = None
-    smaller_lo: bool | None = None
-    psmd_y: bool | None = None
-    mtp2_y: bool | None = None
+    si_child_given_parent_x: bool
+    si_child_given_parent_y: bool
+    si_parent_given_child_y: bool
+    smaller_lo: bool
+    psmd_y: bool
+    mtp2_y: bool
 
     def to_json(self) -> dict:
-        return {k: ("undecided" if v is None else v) for k, v in self.__dict__.items()}
+        return dict(self.__dict__)
 
 
 @dataclass
@@ -384,7 +374,7 @@ class ConditionReport:
     per_edge: dict[tuple[int, int], EdgeFlags]
     failures: dict[str, list]
     marginal_checks: dict[str, object] = field(default_factory=dict)
-    verdict: bool | None = None
+    verdict: bool = False
     relation: str = "sm-hypotheses"
 
     def to_json(self) -> dict:
@@ -394,7 +384,7 @@ class ConditionReport:
             "per_edge": {f"{i}-{j}": fl.to_json() for (i, j), fl in self.per_edge.items()},
             "failures": _jsonable(self.failures),
             "marginal_checks": _jsonable(self.marginal_checks),
-            "verdict": "undecided" if self.verdict is None else self.verdict,
+            "verdict": self.verdict,
         }
 
 
@@ -404,20 +394,6 @@ _FLEX_RELATION = {
     "st-decrease": "dsm-precondition",
     "cx": "dcx-precondition",
 }
-
-
-def _copula_si(cop) -> bool:
-    try:
-        return cop.flags().is_si
-    except NotImplementedError:
-        return cop_mod.numeric_si_check(cop)
-
-
-def _copula_mtp2(cop) -> bool | None:
-    try:
-        return cop.flags().is_mtp2
-    except NotImplementedError:
-        return None
 
 
 def _bivariate_lo_exact(bx: DiscreteBivariate, by: DiscreteBivariate) -> bool:
@@ -497,7 +473,6 @@ def audit_theorem_conditions(
 
     per_edge: dict[tuple[int, int], EdgeFlags] = {}
     failures: dict[str, list] = {"i": [], "ii": [], "iii": []}
-    undecided: list = []
     # one grid cdf table per distinct copula, kept for this call only: the
     # Y edge feeds two checks, and X and Y often share edge copulas
     tables: dict = {}
@@ -507,39 +482,38 @@ def audit_theorem_conditions(
             tables[cop] = cop_mod.cdf_table(cop, grid_size)
         return tables[cop]
 
-    def require(bucket: str, edge, flag_name: str, value) -> None:
-        if value is None:
-            undecided.append([edge, flag_name])
-        elif value is not True:
+    def require(bucket: str, edge, flag_name: str, value: bool) -> None:
+        if value is not True:
             failures[bucket].append([edge, flag_name])
 
     for edge in sorted(tree.edges):
         i, j = edge
-        fl = EdgeFlags()
         flexible = marginal_flex is not None
         if kind_x == "discrete":
             bx, by = edges_x[edge], edges_y[edge]
-            fl.si_child_given_parent_x = si_check(bx, "col_given_row")
-            fl.si_child_given_parent_y = si_check(by, "col_given_row")
-            fl.si_parent_given_child_y = si_check(by, "row_given_col")
-            # flexible audits compare copulas, so differing marginals are
-            # fine; the plain audit needs the full law-level comparison
-            fl.smaller_lo = (
-                _subcopula_lo_exact(bx, by) if flexible
-                else _bivariate_lo_exact(bx, by)
+            fl = EdgeFlags(
+                si_child_given_parent_x=si_check(bx, "col_given_row"),
+                si_child_given_parent_y=si_check(by, "col_given_row"),
+                si_parent_given_child_y=si_check(by, "row_given_col"),
+                # flexible audits compare copulas, so differing marginals are
+                # fine; the plain audit needs the full law-level comparison
+                smaller_lo=(_subcopula_lo_exact(bx, by) if flexible
+                            else _bivariate_lo_exact(bx, by)),
+                psmd_y=_bivariate_lo_exact(by.product_of_marginals(), by),
+                mtp2_y=mtp2_check(by),
             )
-            fl.psmd_y = _bivariate_lo_exact(by.product_of_marginals(), by)
-            fl.mtp2_y = mtp2_check(by)
         else:
             cx, cy = edges_x[edge], edges_y[edge]
-            fl.si_child_given_parent_x = _copula_si(cx)
-            fl.si_child_given_parent_y = _copula_si(cy)
-            fl.si_parent_given_child_y = _copula_si(cy.transpose())
             marg_equal = margs_x[i] == margs_y[i] and margs_x[j] == margs_y[j]
             lo_ok = cop_mod.table_lo_leq(table(cx), table(cy))
-            fl.smaller_lo = lo_ok if flexible else (marg_equal and lo_ok)
-            fl.psmd_y = cop_mod.table_pqd(table(cy))
-            fl.mtp2_y = _copula_mtp2(cy)
+            fl = EdgeFlags(
+                si_child_given_parent_x=cx.flags().is_si,
+                si_child_given_parent_y=cy.flags().is_si,
+                si_parent_given_child_y=cy.transpose().flags().is_si,
+                smaller_lo=lo_ok if flexible else (marg_equal and lo_ok),
+                psmd_y=cop_mod.table_pqd(table(cy)),
+                mtp2_y=cy.flags().is_mtp2,
+            )
         per_edge[edge] = fl
 
         if j != query.k_star:
@@ -562,17 +536,8 @@ def audit_theorem_conditions(
         if bad:
             failures["marginals"] = bad
 
-    if any(failures.values()):
-        verdict = False
-    elif undecided:
-        verdict = None
-    else:
-        verdict = True
-    report = ConditionReport(query, per_edge, failures, marginal_checks, verdict,
-                             relation=_FLEX_RELATION[marginal_flex])
-    if undecided:
-        report.failures = dict(failures, undecided=undecided)
-    return report
+    return ConditionReport(query, per_edge, failures, marginal_checks,
+                           not any(failures.values()), relation=_FLEX_RELATION[marginal_flex])
 
 
 def _audit_marginals(tree, spec_x, spec_y, kind, flex) -> dict[str, object]:

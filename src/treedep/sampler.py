@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from ._csv import write_csv
-from .copulas import BivariateCopula, HInversionError
+from .copulas import BivariateCopula
 from .marginals import Marginal
 from .trees import DirectedTree, TreeError
 
@@ -179,13 +179,8 @@ def propagate(spec: TreeSpec, seed: int, start: int, count: int,
             scores = cop.takes_scores
             key = (parent, scores)
             p = None if cop.ignores_p else counter_uniforms(seed, node, start, count)
-            try:
-                col = (cop.h_inv(live[key], p, scores=True) if scores
-                       else cop.h_inv(live[key], p))
-            except HInversionError as exc:
-                raise HInversionError(
-                    f"conditional inverse failed on edge ({parent},{node}): {exc}"
-                ) from exc
+            col = (cop.h_inv(live[key], p, scores=True) if scores
+                   else cop.h_inv(live[key], p))
             if last_child[key] == node:
                 del live[key]
         # the column as scores z and as copula values u, each only if needed

@@ -81,17 +81,6 @@ class DirectedTree:
     def children(self, i: int) -> frozenset[int]:
         return self._children[self._check(i)]
 
-    def descendants(self, i: int) -> frozenset[int]:
-        """All nodes strictly below ``i`` (``i`` itself excluded)."""
-        self._check(i)
-        out: set[int] = set()
-        stack = list(self._children[i])
-        while stack:
-            c = stack.pop()
-            out.add(c)
-            stack.extend(self._children[c])
-        return frozenset(out)
-
     def degree(self, i: int) -> int:
         self._check(i)
         return len(self._children[i]) + (0 if i == 0 else 1)
@@ -101,10 +90,6 @@ class DirectedTree:
         return frozenset(
             i for i in range(1, self.node_count) if self.degree(i) == 1
         )
-
-    def depth(self, i: int) -> int:
-        """Edge distance from the root (root has depth 0)."""
-        return self._depth[self._check(i)]
 
     # -- paths and separation ---------------------------------------------
 

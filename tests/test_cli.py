@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from treedep.cli import main
-from treedep.copulas import Gaussian, HInversionError
+from treedep.copulas import Gaussian
 
 CHAIN_TREE = {"nodes": 3, "edges": [[0, 1], [1, 2]]}
 
@@ -250,27 +250,6 @@ def test_band_rejects_malformed_input(tmp_path, capsys, argv, name):
     assert not out.exists()
 
 
-def _failing_h_inv(self, u, p, scores=False):
-    raise HInversionError("bisection did not converge")
-
-
-def test_h_inversion_failure_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(Gaussian, "h_inv", _failing_h_inv)
-    code = main(["band", "--steps", "3", "--samples", "50",
-                 "--out", str(tmp_path / "b.csv")])
-    assert code == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error:") and "\n" not in err
-    assert "edge (2,3)" in err
-    spec = write_spec(tmp_path / "spec.json",
-                      [[0, 1, "gaussian(0.5)"], [1, 2, "clayton(2.0)"]])
-    code = main(["sample", spec, "--samples", "10", "--out", str(tmp_path / "s.csv")])
-    assert code == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error:") and "\n" not in err
-    assert "edge (0,1)" in err
-
-
 def _nan_h_inv(self, u, p, scores=False):
     return np.full(np.broadcast(u, p).shape, np.nan)
 
@@ -308,6 +287,17 @@ def test_infinite_score_from_an_edge_exits_2(tmp_path, capsys, monkeypatch, bad)
     _refused_in_band_and_sample(tmp_path, capsys)
 
 
+# literals with a NaN or infinite parameter, and the parameter each error names
+NON_FINITE_MARGINALS = {
+    "normal(nan,1)": "normal mean", "normal(0,inf)": "normal variance",
+    "uniform(0,inf)": "uniform bounds", "rectnormal(inf)": "rectnormal sigma",
+    "dirac(nan)": "dirac point", "discrete(0,nan)": "discrete values",
+    "empirical(1,nan)": "empirical sample values",
+}
+NON_FINITE_COPULAS = {"clayton(nan)": "theta", "clayton(inf)": "theta",
+                      "sclayton(inf)": "theta"}
+
+
 def _malformed_inputs(tmp_path: Path) -> dict:
     """Spec files and a directory that the table below feeds to the CLI."""
     (tmp_path / "adir").mkdir()
@@ -329,6 +319,10 @@ def _malformed_inputs(tmp_path: Path) -> dict:
         "query_float": {"path": [1, 2.0], "k_star": 1},
         "query_bool": {"path": [1, 2], "k_star": True},
     }
+    for lit in NON_FINITE_MARGINALS:
+        files[lit] = {**good, "marginals": [lit, "uniform(0,1)", "uniform(0,1)"]}
+    for lit in NON_FINITE_COPULAS:
+        files[lit] = {**good, "copulas": [[0, 1, lit], [1, 2, "indep"]]}
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     (tmp_path / "zero_den.txt").write_text("1/0 0\n0 1/2\n")
@@ -359,6 +353,8 @@ def _malformed_inputs(tmp_path: Path) -> dict:
     (["check", "triple_inf.json", "good.json"], "node numbers"),
     (["check", "good.json", "good.json", "--query", "query_float.json"], "node numbers"),
     (["check", "good.json", "good.json", "--query", "query_bool.json"], "node numbers"),
+    *((["sample", f"{lit}.json", "--samples", "5", "--out", "out.csv"], f"{says} must be finite")
+      for lit, says in {**NON_FINITE_MARGINALS, **NON_FINITE_COPULAS}.items()),
 ])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, says):
     paths = _malformed_inputs(tmp_path)

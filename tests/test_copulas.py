@@ -10,13 +10,11 @@ from treedep.copulas import (
     Gaussian,
     Independence,
     SurvivalClayton,
-    gaussian_tau,
-    h_inv_bisection,
+    cdf_table,
     lo_leq,
-    numeric_si_check,
     open_grid,
     parse_copula,
-    pqd_check,
+    table_pqd,
     theta_from_rho,
     theta_from_tau,
 )
@@ -181,30 +179,13 @@ def test_h_inv_examples():
     assert np.allclose(Gaussian(1.0).h_inv(0.4, 0.2), 0.4)
 
 
-def test_h_inv_bisection_agrees_with_closed_form():
-    cop = Gaussian(0.6)
-    rng = np.random.default_rng(8)
-    u = rng.uniform(0.05, 0.95, 64)
-    p = rng.uniform(0.05, 0.95, 64)
-    assert np.max(np.abs(h_inv_bisection(cop, u, p) - cop.h_inv(u, p))) < 1e-9
-
-
 def test_dependence_flags():
     assert Independence().flags() == Clayton(0.0).flags()
     f = Gaussian(-0.5).flags()
     assert not f.is_si and not f.is_ci
-    assert numeric_si_check(Gaussian(-0.5)) is False
     assert Clayton(7.764).flags().is_si and Clayton(7.764).flags().is_ci
     assert Comonotone().flags().is_si and not Comonotone().flags().is_mtp2
     assert SurvivalClayton(3.0).flags().is_mtp2
-
-
-def test_numeric_si_check():
-    assert numeric_si_check(Gaussian(0.9))
-    assert not numeric_si_check(Gaussian(-0.9))
-    assert numeric_si_check(Independence())
-    assert numeric_si_check(Comonotone())
-    assert numeric_si_check(Clayton(5.0))
 
 
 def test_lo_leq():
@@ -223,9 +204,10 @@ def test_clayton_lo_monotone_in_theta():
 
 
 def test_pqd():
-    assert pqd_check(Clayton(2.0))
-    assert pqd_check(Comonotone())
-    assert not pqd_check(Gaussian(-0.3))
+    # the audit's psmd_y flag on copula edges
+    assert table_pqd(cdf_table(Clayton(2.0), 129))
+    assert table_pqd(cdf_table(Comonotone(), 129))
+    assert not table_pqd(cdf_table(Gaussian(-0.3), 129))
 
 
 def test_survival_clayton_identities():
@@ -255,7 +237,7 @@ def test_theta_matching():
     rho = math.sqrt(0.9)
     assert theta_from_rho(rho) == pytest.approx(7.764, abs=1e-3)
     assert theta_from_rho(0.0) == 0.0
-    tau = gaussian_tau(rho)
+    tau = Gaussian(rho).kendall_tau()
     assert Clayton(theta_from_tau(tau)).kendall_tau() == pytest.approx(tau)
     with pytest.raises(CopulaError):
         theta_from_rho(1.0)

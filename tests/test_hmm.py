@@ -135,7 +135,9 @@ def test_kernel_keeps_few_walk_columns_alive(monkeypatch):
             made.clear()
             for node, x in propagate(spec, 2, 0, 100, nodes):
                 del x
-                assert sum(r() is not None for r in made) <= 2, (family, nodes, node)
+                # distinct arrays: an inverse may return its base family's result
+                live = {id(r()) for r in made if r() is not None}
+                assert len(live) <= 2, (family, nodes, node)
             assert made, family
 
 

@@ -432,6 +432,16 @@ def test_schur_counterexample_edges(block_matrices):
     assert schur_leq(b, a).holds is False
 
 
+def test_schur_witness_is_pinned(block_matrices):
+    a, b = block_matrices
+    want = {"conditioned_value": 0, "at": F(1, 3), "cum_x": F(1, 5), "cum_y": F(1, 6)}
+    for direction in ("col_given_row", "row_given_col"):
+        report = schur_leq(b, a, direction)
+        assert report.holds is False
+        assert report.witness == want
+        assert all(type(report.witness[k]) is F for k in ("at", "cum_x", "cum_y"))
+
+
 def test_schur_reflexive_random():
     rng = random.Random(61)
     for _ in range(25):
@@ -724,11 +734,7 @@ def test_order_checks_reflexive(rows):
     biv = DiscreteBivariate.from_rows(
         [[F(x, total) for x in row] for row in rows]
     )
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        joint = biv_joint(biv)
+    joint = biv_joint(biv)
     assert lo_check(joint, joint).holds is True
     assert uo_check(joint, joint).holds is True
     rep = sm_check_lp(joint, joint)
@@ -743,11 +749,7 @@ def test_orthant_reports_carry_reproducing_witnesses(rows):
         [[F(x, total) for x in row] for row in rows]
     )
     other = biv.product_of_marginals()
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ja, jb = biv_joint(biv), biv_joint(other)
+    ja, jb = biv_joint(biv), biv_joint(other)
     rep = lo_check(jb, ja)
     if rep.holds is False:
         t = rep.witness

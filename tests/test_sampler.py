@@ -277,23 +277,6 @@ def test_sample_argument_validation():
         sample(spec, 10, seed=1, workers=0)
 
 
-def test_h_inversion_failure_carries_edge_context():
-    from treedep.copulas import BivariateCopula, HInversionError
-
-    class Stuck(BivariateCopula):
-        # h ignores v, so the bisection fallback cannot reach most targets
-        def cdf(self, u, v):
-            return np.asarray(u) * np.asarray(v)
-
-        def h(self, u, v):
-            u, v = np.broadcast_arrays(np.asarray(u), np.asarray(v))
-            return np.full(u.shape, 0.5)
-
-    spec = TreeSpec(make_chain(1), (Uniform(0, 1),) * 2, {(0, 1): Stuck()})
-    with pytest.raises(HInversionError, match=r"edge \(0,1\)"):
-        sample(spec, 100, seed=1)
-
-
 def test_fingerprint_tracks_spec():
     a = uniform_chain(0.3).fingerprint()
     b = uniform_chain(0.31).fingerprint()

@@ -35,6 +35,21 @@ def random_tree(rng: random.Random, n: int) -> DirectedTree:
     return DirectedTree(n, edges)
 
 
+def bfs_depths(t: DirectedTree) -> dict[int, int]:
+    """Edge distance from the root of every node, by a search over children."""
+    depth, frontier = {0: 0}, [0]
+    while frontier:
+        frontier = [c for i in frontier for c in t.children(i)]
+        for c in frontier:
+            depth[c] = depth[t.parent(c)] + 1
+    return depth
+
+
+def descendants(t: DirectedTree, i: int) -> set[int]:
+    """Nodes strictly below ``i``: those whose root path passes through ``i``."""
+    return {j for j in range(1, t.node_count) if j != i and i in t.path_inclusive(0, j)}
+
+
 def test_parent(branchy):
     tree, labels, node = branchy
     assert labels[tree.parent(node[5])] == 6
@@ -48,8 +63,13 @@ def test_children_descendants_leaves(branchy):
     tree, labels, node = branchy
     assert {labels[c] for c in tree.children(node[3])} == {2, 4, 8}
     assert {labels[c] for c in tree.leaves()} == {5, 7, 2, 4, 8}
+    assert {labels[c] for c in descendants(tree, node[3])} == {2, 4, 8}
+    assert {labels[c] for c in descendants(tree, node[6])} == {5, 7}
+    assert descendants(tree, node[1]) == set(range(1, tree.node_count))
+    assert descendants(tree, node[5]) == set()
     star = make_star(4)
-    assert star.descendants(0) == {1, 2, 3, 4}
+    assert star.children(0) == {1, 2, 3, 4}
+    assert descendants(star, 0) == {1, 2, 3, 4}
     assert star.leaves() == {1, 2, 3, 4}
 
 
@@ -101,7 +121,8 @@ def test_level_order_predicate_random():
     for _ in range(50):
         t = random_tree(rng, rng.randint(2, 25))
         order = t.level_order()
-        depths = [t.depth(i) for i in order]
+        depth = bfs_depths(t)
+        depths = [depth[i] for i in order]
         assert depths == sorted(depths)
         assert sorted(order) == list(range(t.node_count))
 
@@ -136,16 +157,18 @@ def test_duality_and_partition_random():
         for i in range(t.node_count):
             for c in t.children(i):
                 assert t.parent(c) == i
-            desc = t.descendants(i)
+            desc = descendants(t, i)
             union = set()
             for c in t.children(i):
-                block = {c} | t.descendants(c)
+                block = {c} | descendants(t, c)
                 assert not (union & block)
                 union |= block
             assert union == desc
+        depth = bfs_depths(t)
+        assert set(depth) == set(range(t.node_count))
         for i in range(1, t.node_count):
             path = t.path_inclusive(0, i)
-            assert len(path) - 1 == t.depth(i)
+            assert len(path) - 1 == depth[i]
 
 
 def test_separation_matches_path_membership():
