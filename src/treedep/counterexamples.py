@@ -121,13 +121,14 @@ def _chain_extension_laws(a01: DiscreteBivariate, a02: DiscreteBivariate,
     return {(n, n + 1): law for n, law in enumerate(laws)}
 
 
-def chain_extension_block(total_nodes: int = 5) -> BlockReport:
-    """Star counterexample stretched into the chain (X1, X0, ..., X0, X2).
+def chain_extension_block() -> BlockReport:
+    """Star counterexample stretched into the 5-node chain (X1, X0, X0, X0, X2).
 
     Interior edges carry X0's law on the diagonal, so the center repeats
     comonotonically and every orthant probability with matching
     thresholds is the star's.
     """
+    total_nodes = 5
     tree = make_chain(total_nodes - 1)
     ex = markov_joint(tree, _chain_extension_laws(STAR4_A01, STAR4_A02, total_nodes))
     ey = markov_joint(tree, _chain_extension_laws(STAR4_B01, STAR4_B02, total_nodes))

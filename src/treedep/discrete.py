@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,7 +130,7 @@ class DiscreteJoint:
     denominator: P(X_n = supports[n][idx[n]] for all n) = table[idx] / den.
     ``DiscreteJoint(supports, mass)`` builds one from a mapping of index
     tuples (one index per node) to rationals, omitted tuples carrying zero
-    mass; :meth:`from_table` builds one from numerators and a denominator.
+    mass.
     """
 
     def __init__(self, supports: Sequence[Sequence],
@@ -150,25 +149,6 @@ class DiscreteJoint:
         for cell, num in zip(cells, nums):
             flat[cell] = num
         self._set(supports, _table_of(flat, den, shape), den)
-
-    @classmethod
-    def from_table(cls, supports: Sequence[Sequence], table, den: int) -> "DiscreteJoint":
-        """The law with integer numerators ``table`` over ``den`` on the support grid."""
-        supports = tuple(tuple(s) for s in supports)
-        shape = _grid_shape(supports)
-        table = np.asarray(table, dtype=object)
-        if table.shape != shape:
-            raise DiscreteError(
-                f"table shape {table.shape} does not match the support grid {shape}"
-            )
-        try:
-            nums = [operator.index(x) for x in table.flat]
-            den = operator.index(den)
-        except TypeError:
-            raise DiscreteError("table entries and den must be integers") from None
-        if den <= 0:
-            raise DiscreteError("den must be positive")
-        return cls._of(supports, _table_of(nums, den, shape), den)
 
     @classmethod
     def _of(cls, supports: tuple[tuple, ...], table: np.ndarray, den: int) -> "DiscreteJoint":

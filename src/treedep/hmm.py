@@ -10,7 +10,7 @@ forms a distributional-robustness band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -163,8 +163,7 @@ class BandResult:
     ``lower_ecdf`` is the most-perturbed scenario (noise at its bound), the
     lower-lying curve; ``upper_ecdf`` is the noise-free walk, which
     stochastically dominates from below and so has the upper-lying CDF.
-    ``mc_halfwidth`` is the sum of both curves' 3-sigma binomial half-widths;
-    it is computed from the curves when not given.
+    ``mc_halfwidth`` is the sum of both curves' 3-sigma binomial half-widths.
     """
 
     t_grid: np.ndarray
@@ -172,12 +171,11 @@ class BandResult:
     upper_ecdf: np.ndarray
     n_samples: int
     seed: int
-    mc_halfwidth: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        if self.mc_halfwidth is None:
-            self.mc_halfwidth = (_halfwidth(self.lower_ecdf, self.n_samples)
-                                 + _halfwidth(self.upper_ecdf, self.n_samples))
+    @property
+    def mc_halfwidth(self) -> np.ndarray:
+        return (_halfwidth(self.lower_ecdf, self.n_samples)
+                + _halfwidth(self.upper_ecdf, self.n_samples))
 
     def width(self) -> np.ndarray:
         return self.upper_ecdf - self.lower_ecdf
@@ -219,17 +217,16 @@ def ambiguity_membership(
     n: int,
     sigma_bar: float,
     anchor_family: str = "gaussian",
-    grid_points: int = 201,
-    grid_size: int = 65,
 ) -> bool:
     """Membership in the step-n ambiguity sets.
 
     The marginal must be continuous and squeezed between the noise-free and
-    fully-perturbed observation CDFs on t >= 0; the copula must be SI and
-    dominate the anchor copula at the worst-case coupling strength
-    pointwise.  The anchor family matches the error model under study; note
-    that a tau-matched Clayton does not pointwise dominate the Gaussian
-    anchor (their CDFs cross), so cross-family membership genuinely fails.
+    fully-perturbed observation CDFs at 201 points of t >= 0; the copula
+    must be SI and dominate the anchor copula at the worst-case coupling
+    strength on the 65-point grid.  The anchor family matches the error
+    model under study; note that a tau-matched Clayton does not pointwise
+    dominate the Gaussian anchor (their CDFs cross), so cross-family
+    membership genuinely fails.
     """
     if n < 1:
         raise WalkError("n must be >= 1")
@@ -237,11 +234,11 @@ def ambiguity_membership(
         return False
     hi = Normal(0.0, float(n))
     lo = Normal(0.0, float(n) + float(sigma_bar))
-    t = np.linspace(0.0, float(lo.quantile(np.array([1 - 1e-6]))[0]), grid_points)
+    t = np.linspace(0.0, float(lo.quantile(np.array([1 - 1e-6]))[0]), 201)
     f = candidate_marginal.cdf(t)
     if not (np.all(hi.cdf(t) >= f - 1e-12) and np.all(f >= lo.cdf(t) - 1e-12)):
         return False
     if not candidate_copula.flags().is_si:
         return False
     anchor = observation_copula(anchor_family, n, float(sigma_bar))
-    return lo_leq(anchor, candidate_copula, grid_size)
+    return lo_leq(anchor, candidate_copula, 65)

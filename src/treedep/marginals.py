@@ -17,6 +17,11 @@ from scipy.special import ndtr, ndtri
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
+# Slack of the grid order checks: on the cdfs and stop-loss values, and on
+# the equal-means condition of the convex order.
+ORDER_TOL = 1e-12
+MEAN_TOL = 1e-9
+
 
 class MarginalError(ValueError):
     """Raised for invalid marginal parameters or unsupported queries."""
@@ -192,8 +197,36 @@ class Uniform(Marginal):
         return f"uniform({_fmt(self.a)},{_fmt(self.b)})"
 
 
+class _EqualMass(Marginal):
+    """Equal mass on each entry of the sorted tuple ``_points()``."""
+
+    def _points(self) -> tuple[float, ...]:
+        raise NotImplementedError
+
+    def cdf(self, x):
+        x = self._validate_real(x)
+        points = self._points()
+        vals = np.asarray(points, dtype=float)
+        return np.searchsorted(vals, x, side="right") / len(points)
+
+    def quantile(self, t):
+        t = self._validate_prob(t)
+        points = self._points()
+        k = len(points)
+        idx = np.ceil(t * k).astype(int) - 1
+        return np.asarray(points, dtype=float)[np.clip(idx, 0, k - 1)]
+
+    def mean(self) -> float:
+        return float(np.mean(self._points()))
+
+    def stop_loss(self, k):
+        k = np.asarray(k, dtype=float)
+        excess = np.maximum(np.asarray(self._points(), dtype=float) - k[..., None], 0.0)
+        return np.mean(excess, axis=-1)
+
+
 @dataclass(frozen=True)
-class DiscreteUniform(Marginal):
+class DiscreteUniform(_EqualMass):
     """Equal mass on a finite sorted list of values."""
 
     values: tuple[float, ...]
@@ -205,22 +238,8 @@ class DiscreteUniform(Marginal):
         if list(self.values) != sorted(set(self.values)):
             raise MarginalError("values must be sorted and distinct")
 
-    def cdf(self, x):
-        x = self._validate_real(x)
-        vals = np.asarray(self.values, dtype=float)
-        return np.searchsorted(vals, x, side="right") / len(self.values)
-
-    def quantile(self, t):
-        t = self._validate_prob(t)
-        k = len(self.values)
-        idx = np.ceil(t * k).astype(int) - 1
-        return np.asarray(self.values, dtype=float)[np.clip(idx, 0, k - 1)]
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def stop_loss(self, k):
-        return _mean_excess(self.values, k)
+    def _points(self) -> tuple[float, ...]:
+        return self.values
 
     def range_closure(self) -> RangeClosure:
         k = len(self.values)
@@ -294,7 +313,7 @@ class RectifiedNormal(Marginal):
 
 
 @dataclass(frozen=True)
-class Empirical(Marginal):
+class Empirical(_EqualMass):
     """Empirical law of a sorted sample (equal weights)."""
 
     sample: tuple[float, ...]
@@ -306,35 +325,14 @@ class Empirical(Marginal):
         if list(self.sample) != sorted(self.sample):
             raise MarginalError("sample must be sorted")
 
-    def cdf(self, x):
-        x = self._validate_real(x)
-        vals = np.asarray(self.sample, dtype=float)
-        return np.searchsorted(vals, x, side="right") / len(self.sample)
-
-    def quantile(self, t):
-        t = self._validate_prob(t)
-        n = len(self.sample)
-        idx = np.ceil(t * n).astype(int) - 1
-        return np.asarray(self.sample, dtype=float)[np.clip(idx, 0, n - 1)]
-
-    def mean(self) -> float:
-        return float(np.mean(self.sample))
-
-    def stop_loss(self, k):
-        return _mean_excess(self.sample, k)
+    def _points(self) -> tuple[float, ...]:
+        return self.sample
 
     def range_closure(self) -> RangeClosure:
         raise MarginalError("range closure of an empirical law is not known symbolically")
 
     def __str__(self):
         return "empirical(" + ",".join(_fmt(v) for v in self.sample) + ")"
-
-
-def _mean_excess(values, k):
-    """Mean of (v - k)_+ over equally weighted ``values``, for each ``k``."""
-    k = np.asarray(k, dtype=float)
-    excess = np.maximum(np.asarray(values, dtype=float) - k[..., None], 0.0)
-    return np.mean(excess, axis=-1)
 
 
 # -- order checks -----------------------------------------------------------
@@ -345,43 +343,37 @@ def range_closure_equal(m1: Marginal, m2: Marginal) -> bool:
     return m1.range_closure() == m2.range_closure()
 
 
-def default_grid(m1: Marginal, m2: Marginal, size: int = 513) -> np.ndarray:
-    """Grid spanning the 1e-4 .. 1-1e-4 quantile range of both families."""
+def default_grid(m1: Marginal, m2: Marginal) -> np.ndarray:
+    """513 points spanning the 1e-4 .. 1-1e-4 quantile range of both families."""
     qs = np.array([1e-4, 1 - 1e-4])
     lo = min(float(np.min(m1.quantile(qs))), float(np.min(m2.quantile(qs))))
     hi = max(float(np.max(m1.quantile(qs))), float(np.max(m2.quantile(qs))))
     if lo == hi:
         return np.array([lo])
-    return np.linspace(lo, hi, size)
+    return np.linspace(lo, hi, 513)
 
 
-def st_leq(m1: Marginal, m2: Marginal, grid=None, tol: float = 1e-12) -> bool:
+def st_leq(m1: Marginal, m2: Marginal, grid=None) -> bool:
     """First-order dominance m1 <= m2: F1(t) >= F2(t) on every grid point."""
     grid = default_grid(m1, m2) if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise MarginalError("grid must be nonempty")
-    return bool(np.all(m1.cdf(grid) >= m2.cdf(grid) - tol))
+    return bool(np.all(m1.cdf(grid) >= m2.cdf(grid) - ORDER_TOL))
 
 
-def cx_leq(
-    m1: Marginal,
-    m2: Marginal,
-    grid=None,
-    tol: float = 1e-12,
-    mean_tol: float = 1e-9,
-) -> bool:
+def cx_leq(m1: Marginal, m2: Marginal, grid=None) -> bool:
     """Convex-order check via stop-loss comparison on a grid.
 
-    Necessary-condition checker: equal means (within ``mean_tol``) plus
+    Necessary-condition checker: equal means (within ``MEAN_TOL``) plus
     ``E (X-k)_+ <= E (Y-k)_+`` at every grid retention ``k``.  It is exact
     for discrete families once the grid contains their support.
     """
     grid = default_grid(m1, m2) if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise MarginalError("grid must be nonempty")
-    if abs(m1.mean() - m2.mean()) > mean_tol:
+    if abs(m1.mean() - m2.mean()) > MEAN_TOL:
         return False
-    return bool(np.all(m1.stop_loss(grid) <= m2.stop_loss(grid) + tol))
+    return bool(np.all(m1.stop_loss(grid) <= m2.stop_loss(grid) + ORDER_TOL))
 
 
 # -- literal syntax ----------------------------------------------------------

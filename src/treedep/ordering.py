@@ -51,7 +51,6 @@ class OrderReport:
     relation: str
     holds: bool | None
     witness: object = None
-    tolerance: object = 0
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -60,7 +59,6 @@ class OrderReport:
             "relation": self.relation,
             "holds": holds,
             "witness": _jsonable(self.witness),
-            "tolerance": _jsonable(self.tolerance),
             "details": _jsonable(self.details),
         }
 
@@ -238,17 +236,16 @@ def _supermodular_program(jx: DiscreteJoint, jy: DiscreteJoint):
     return cells, c_vec, a_rows, b
 
 
-def sm_check_lp(jx: DiscreteJoint, jy: DiscreteJoint,
-                cell_guard: int = SM_CELL_GUARD) -> OrderReport:
+def sm_check_lp(jx: DiscreteJoint, jy: DiscreteJoint) -> OrderReport:
     """Supermodular order decided exactly by minimizing E f(Y) - E f(X).
 
     The minimum over all supermodular f boxed into [0,1] is nonnegative iff
     X <=_sm Y.  A negative optimum returns the minimizing f as certificate.
     """
     _check_same_supports(jx, jy)
-    if jx.cell_count() > cell_guard:
+    if jx.cell_count() > SM_CELL_GUARD:
         return OrderReport("sm", None,
-                           details={"reason": f"more than {cell_guard} cells"})
+                           details={"reason": f"more than {SM_CELL_GUARD} cells"})
     cells, c_vec, a_rows, b = _supermodular_program(jx, jy)
     value, f = solve_lp_min(c_vec, a_rows, b)
     if value >= 0:
@@ -262,9 +259,9 @@ def sm_check_lp(jx: DiscreteJoint, jy: DiscreteJoint,
                        details={"lp_minimum": value})
 
 
-def psmd_check(joint: DiscreteJoint, cell_guard: int = SM_CELL_GUARD) -> OrderReport:
+def psmd_check(joint: DiscreteJoint) -> OrderReport:
     """Positive supermodular dependence: the independent coupling is below."""
-    report = sm_check_lp(joint.product_of_marginals(), joint, cell_guard)
+    report = sm_check_lp(joint.product_of_marginals(), joint)
     report.relation = "psmd"
     return report
 

@@ -252,12 +252,12 @@ def _ranks_unit(x: np.ndarray) -> np.ndarray:
 
 
 def empirical_edge_copula_check(
-    batch: SampleBatch, spec: TreeSpec, edge: tuple[int, int], grid_size: int = 20
+    batch: SampleBatch, spec: TreeSpec, edge: tuple[int, int]
 ) -> float:
     """Sup-norm gap between the empirical copula of an edge pair and its spec.
 
-    Rank-transforms the two columns and compares on a grid; for n samples
-    the gap concentrates at the O(1/sqrt(n)) empirical-process scale.
+    Rank-transforms the two columns and compares on a 20 x 20 grid; for n
+    samples the gap concentrates at the O(1/sqrt(n)) empirical-process scale.
     """
     i, j = edge
     if edge not in spec.copulas:
@@ -268,7 +268,7 @@ def empirical_edge_copula_check(
         raise ValueError("empty batch")
     u = _ranks_unit(batch.data[:, i])
     v = _ranks_unit(batch.data[:, j])
-    grid = np.arange(1, grid_size + 1) / (grid_size + 1.0)
+    grid = np.arange(1, 21) / 21.0
     cop = spec.copulas[edge]
     worst = 0.0
     order = np.argsort(u)
@@ -288,11 +288,10 @@ def conditional_independence_probe(
     i: int,
     a_set: Sequence[int],
     b_set: Sequence[int],
-    bins: int = 10,
 ) -> float:
     """Max absolute within-bin correlation between the two sides of a cut.
 
-    Bins the separator column into equal-count bins and correlates a summary
+    Bins the separator column into 10 equal-count bins and correlates a summary
     statistic of each group (the mean of its rank-uniformized columns)
     inside each bin; ranks keep the estimator noise flat across bins, which
     raw heavy-tailed columns would not.  Small scores are consistent with
@@ -300,8 +299,6 @@ def conditional_independence_probe(
     exactly: within a bin the separator still varies a little, so expect a
     small positive bias that grows with the edge dependence strength.
     """
-    if bins < 2:
-        raise ValueError("need at least two bins")
     if not tree.separates(i, a_set, b_set):
         raise TreeError(f"node {i} does not separate the given sets")
     xa = np.column_stack(
@@ -312,7 +309,7 @@ def conditional_independence_probe(
     ).mean(axis=1)
     xi = batch.data[:, i]
     order = np.argsort(xi, kind="stable")
-    edges = np.linspace(0, len(xi), bins + 1).astype(int)
+    edges = np.linspace(0, len(xi), 11).astype(int)
     worst = 0.0
     for lo, hi in zip(edges, edges[1:]):
         sel = order[lo:hi]

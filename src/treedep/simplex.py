@@ -64,7 +64,6 @@ def solve_lp_min(
     c: Sequence[Fraction | int],
     a_ub: Sequence[Sequence[Fraction | int]],
     b_ub: Sequence[Fraction | int],
-    max_pivots: int | None = None,
 ) -> tuple[Fraction, list[Fraction]]:
     """Exact optimum of  min c.x  s.t.  A x <= b, x >= 0  (b >= 0).
 
@@ -93,9 +92,7 @@ def solve_lp_min(
     obj = nums + [0] * (m + 1)
     basis = list(range(n, n + m))
 
-    if max_pivots is None:
-        max_pivots = 200 * (n + m) + 1000
-
+    max_pivots = 200 * (n + m) + 1000
     # steepest reduced cost until progress stalls, then Bland (terminates)
     stall_limit = 2 * (n + m)
     stall = 0

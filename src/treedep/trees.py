@@ -232,23 +232,21 @@ def default_query(tree: DirectedTree) -> TheoremQuery:
     return TheoremQuery(tuple(path), k_star)
 
 
-def relabel(edges: Iterable[tuple[object, object]],
-            root=None) -> tuple[DirectedTree, tuple]:
+def relabel(edges: Iterable[tuple[object, object]]) -> tuple[DirectedTree, tuple]:
     """Build a dense-labeled tree from edges over arbitrary hashable labels.
 
-    The root defaults to the unique label that never appears as a child.
-    Non-root labels are assigned dense ids 1..d in ascending label order.
-    Returns ``(tree, labels)``, where ``labels[k]`` is the external label of
-    dense node ``k``.
+    The root is the unique label that never appears as a child.  Non-root
+    labels are assigned dense ids 1..d in ascending label order.  Returns
+    ``(tree, labels)``, where ``labels[k]`` is the external label of dense
+    node ``k``.
     """
     edge_list = list(edges)
     heads = {i for i, _ in edge_list}
     tails = {j for _, j in edge_list}
-    if root is None:
-        candidates = heads - tails
-        if len(candidates) != 1:
-            raise TreeError("cannot infer a unique root; pass root= explicitly")
-        root = candidates.pop()
+    candidates = heads - tails
+    if len(candidates) != 1:
+        raise TreeError("cannot infer a unique root: exactly one label must never be a child")
+    root = candidates.pop()
     rest = sorted((heads | tails) - {root})
     labels = [root] + list(rest)
     index = {lab: k for k, lab in enumerate(labels)}
@@ -259,7 +257,7 @@ def relabel(edges: Iterable[tuple[object, object]],
 # -- text / JSON interchange ----------------------------------------------
 
 
-def parse_tree_text(text: str, root=None) -> tuple[DirectedTree, tuple]:
+def parse_tree_text(text: str) -> tuple[DirectedTree, tuple]:
     """Parse the one-edge-per-line format ``"i j"``; '#' starts a comment.
 
     Returns ``(tree, labels)`` as :func:`relabel` does.
@@ -275,7 +273,7 @@ def parse_tree_text(text: str, root=None) -> tuple[DirectedTree, tuple]:
         edges.append((int(parts[0]), int(parts[1])))
     if not edges:
         raise TreeError("no edges found")
-    return relabel(edges, root=root)
+    return relabel(edges)
 
 
 def node_number(x) -> int:

@@ -1,11 +1,15 @@
 import json
+import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treedep.cli import main
-from treedep.copulas import Gaussian
+from treedep.copulas import MAX_GRID, Gaussian
 
 CHAIN_TREE = {"nodes": 3, "edges": [[0, 1], [1, 2]]}
 
@@ -362,3 +366,96 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, say
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
     assert says in err
+
+
+def test_check_refuses_a_grid_past_max_grid_at_once(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json",
+                      [[0, 1, "gaussian(0.95)"], [1, 2, "clayton(2.0)"]])
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["check", spec, spec, "--grid", str(MAX_GRID + 1)])
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert f"grid size {MAX_GRID + 1}" in err and f"limit of {MAX_GRID}" in err
+    # refused before a table is built: one (MAX_GRID + 1)^2 table is 34 MB
+    assert seconds < 0.5 and peak < 4 << 20
+
+
+# -- the exit-code contract under mutated input files ---------------------------
+
+CONTINUOUS_SPEC = {"tree": CHAIN_TREE,
+                   "marginals": ["normal(0,1)", "uniform(0,1)", "rectnormal(1)"],
+                   "copulas": [[0, 1, "gaussian(0.5)"], [1, 2, "clayton(2.0)"]]}
+MATRIX_SPEC = {"tree": CHAIN_TREE, "matrices": [[0, 1, "m.txt"], [1, 2, "m.txt"]]}
+QUERY = {"path": [1, 2], "k_star": 1}
+# malformed values, and valid ones that carry a run past parsing
+MUTANTS = [None, True, 0, 1, 2, 3, -1, 2.5, 10**30, math.inf, math.nan, "", "x",
+           "m.txt", "indep", "comonotone", "gaussian(0.9)", "sclayton(1.5)", "clayton(-1)",
+           "normal(0,1)", "uniform(0,1)", "dirac(0)", "discrete(0,1)", "empirical(0,1,2)",
+           [], [1], [2, 1], [[0, 1]], {}, {"nodes": 2, "edges": [[0, 1]]}]
+COMMANDS = [["check", "{x}", "{y}"], ["check", "{x}", "{y}", "--query", "{q}"],
+            ["check", "{x}", "{y}", "--flex", "st-increase", "--grid", "9"],
+            ["check", "{x}", "{y}", "--flex", "cx", "--grid", "9"],
+            ["sample", "{x}", "--samples", "50", "--out", "{out}"]]
+
+
+def _paths(doc, prefix=()):
+    """Every key or index path inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, mutations):
+    """A copy of ``doc`` with each (path, value) set, or deleted for ``...``;
+    a path a previous mutation removed is skipped."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in mutations:
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is ...:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass
+    return doc
+
+
+def _mutations(doc):
+    value = st.sampled_from(MUTANTS + [...])
+    return st.lists(st.tuples(st.sampled_from(list(_paths(doc))), value),
+                    min_size=1, max_size=2)
+
+
+@st.composite
+def _mutated_inputs(draw):
+    base = draw(st.sampled_from([CONTINUOUS_SPEC, MATRIX_SPEC, QUERY]))
+    spec = draw(st.sampled_from([CONTINUOUS_SPEC, MATRIX_SPEC])) if base is QUERY else base
+    command = COMMANDS[1] if base is QUERY else draw(st.sampled_from(COMMANDS))
+    return base, spec, command, _mutated(base, draw(_mutations(base)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=_mutated_inputs())
+def test_mutated_inputs_exit_0_1_or_2(tmp_path_factory, case):
+    base, spec, command, mutant = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "m.txt").write_text("1/9 1/9 1/9\n1/9 1/9 1/9\n1/9 1/9 1/9\n")
+    files = {"x": spec, "y": spec, "q": QUERY}
+    files["q" if base is QUERY else "x"] = mutant
+    names = {"out": str(folder / "out.csv")}
+    for name, doc in files.items():
+        (folder / f"{name}.json").write_text(json.dumps(doc))
+        names[name] = str(folder / f"{name}.json")
+    assert main([arg.format(**names) for arg in command]) in (0, 1, 2)

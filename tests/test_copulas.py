@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treedep.copulas import (
+    MAX_GRID,
     Clayton,
     Comonotone,
     CopulaError,
@@ -292,3 +293,11 @@ def test_gaussian_and_clayton_named_nan_cases():
         Clayton(2).h_inv(0.2, NAN)
     with pytest.raises(CopulaError):
         Gaussian(0.5).cdf(NAN, 0.3)
+
+
+def test_open_grid_sizes_between_3_and_max_grid():
+    assert open_grid(MAX_GRID).size == MAX_GRID
+    with pytest.raises(CopulaError, match=f"grid size {MAX_GRID + 1} .* limit of {MAX_GRID}"):
+        open_grid(MAX_GRID + 1)
+    with pytest.raises(CopulaError, match=">= 3"):
+        open_grid(2)

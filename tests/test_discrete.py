@@ -366,26 +366,27 @@ def test_table_and_mapping_constructors_agree():
     assert joint.den == 6
     assert joint.table.tolist() == [[1, 2, 0], [0, 0, 3]]
     assert dict(joint.mass) == {k: w for k, w in mass.items() if w}
-    assert DiscreteJoint.from_table(supports, [[2, 4, 0], [0, 0, 6]], 12) == joint
-    assert DiscreteJoint.from_table(list(supports), joint.table, joint.den).mass == joint.mass
     assert (1, 0) not in joint.mass and (2, 0) not in joint.mass
     assert (-1, -1) not in joint.mass and (0,) not in joint.mass
 
 
-def test_table_constructor_rejects_malformed_tables():
+def test_joint_constructors_reject_malformed_masses():
     supports = ((0, 1), (0, 1))
-    with pytest.raises(DiscreteError, match="shape"):
-        DiscreteJoint.from_table(supports, [[1, 1, 0], [1, 1, 0]], 4)
-    with pytest.raises(DiscreteError, match="shape"):
-        DiscreteJoint.from_table(supports, [1, 1, 1, 1], 4)
-    with pytest.raises(DiscreteError, match="nonnegative"):
-        DiscreteJoint.from_table(supports, [[3, -1], [1, 1]], 4)
-    with pytest.raises(DiscreteError, match="total mass is 5/4"):
-        DiscreteJoint.from_table(supports, [[2, 1], [1, 1]], 4)
-    with pytest.raises(DiscreteError, match="integers"):
-        DiscreteJoint.from_table(supports, [[F(1, 2), 1], [1, 1]], 4)
-    with pytest.raises(DiscreteError, match="positive"):
-        DiscreteJoint.from_table(supports, [[0, 0], [0, 0]], 0)
+    negative = {(0, 0): F(3, 4), (0, 1): F(-1, 4), (1, 0): F(1, 4), (1, 1): F(1, 4)}
+    with pytest.raises(DiscreteError, match="masses must be nonnegative"):
+        DiscreteJoint(supports, negative)
+    with pytest.raises(DiscreteError, match="weights must be nonnegative"):
+        DiscreteBivariate(((F(3, 4), F(-1, 4)), (F(1, 4), F(1, 4))), (0, 1), (0, 1))
+    with pytest.raises(DiscreteError, match="total mass is 5/4, expected 1"):
+        DiscreteJoint(supports, {(0, 0): F(1, 2), (1, 1): F(3, 4)})
+    with pytest.raises(DiscreteError, match="index tuple arity mismatch"):
+        DiscreteJoint(supports, {(0,): F(1)})
+    with pytest.raises(DiscreteError, match="index tuple arity mismatch"):
+        DiscreteJoint(supports, {(0, 0, 0): F(1)})
+    with pytest.raises(DiscreteError, match="index out of support range"):
+        DiscreteJoint(supports, {(0, 2): F(1)})
+    with pytest.raises(DiscreteError, match="index out of support range"):
+        DiscreteJoint(supports, {(-1, 0): F(1)})
 
 
 @pytest.mark.parametrize("support", [(2, 1), (1, 1), (0, F(1, 2), F(1, 2), 1), ("a", 1)])
@@ -393,8 +394,6 @@ def test_supports_must_be_sorted_and_distinct(support):
     k = len(support)
     with pytest.raises(DiscreteError, match="sorted and distinct"):
         DiscreteJoint((support,), {(i,): F(1, k) for i in range(k)})
-    with pytest.raises(DiscreteError, match="sorted and distinct"):
-        DiscreteJoint.from_table(((0, 1), support), [[1] * k, [1] * k], 2 * k)
     with pytest.raises(DiscreteError, match="sorted and distinct"):
         DiscreteBivariate(((F(1, k),) * k,), (0,), support)
     with pytest.raises(DiscreteError, match="sorted and distinct"):
@@ -404,7 +403,6 @@ def test_supports_must_be_sorted_and_distinct(support):
 def test_orthant_on_a_sorted_support():
     joint = DiscreteJoint(((1, 2),), {(0,): F(3, 4), (1,): F(1, 4)})
     assert joint.orthant_prob((1,)) == F(3, 4)
-    assert DiscreteJoint.from_table(((1, 2),), [3, 1], 4) == joint
 
 
 def test_bivariate_is_a_two_axis_joint(chain3_matrices):

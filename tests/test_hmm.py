@@ -239,8 +239,7 @@ def test_band_result_fills_in_mc_halfwidth(tmp_path):
     band.to_csv(tmp_path / "b.csv")
     rows = np.loadtxt(tmp_path / "b.csv", delimiter=",", skiprows=1)
     assert np.array_equal(rows, np.column_stack([t, lower, upper, band.mc_halfwidth]))
-    # a given half-width is kept, and the library band's matches the default
-    assert BandResult(t, lower, upper, 100, 0, np.zeros(3)).mc_halfwidth.tolist() == [0] * 3
+    # the library band's matches the default
     lib = uncertainty_band(5, "gaussian", const_schedule(0.5, 5), 500, 3)
     again = BandResult(lib.t_grid, lib.lower_ecdf, lib.upper_ecdf, lib.n_samples, lib.seed)
     assert np.array_equal(again.mc_halfwidth, lib.mc_halfwidth)

@@ -214,8 +214,6 @@ def test_conditional_independence_probe():
     assert conditional_independence_probe(bs, star.tree, 0, [1], [2]) <= 0.05
     with pytest.raises(TreeError):
         conditional_independence_probe(batch, spec.tree, 2, [0], [1])
-    with pytest.raises(ValueError):
-        conditional_independence_probe(batch, spec.tree, 1, [0], [2], bins=1)
 
 
 def test_unconditional_correlation_contrast():

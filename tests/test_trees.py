@@ -193,6 +193,10 @@ def test_text_and_json_io(branchy, tmp_path):
         parse_tree_text("0 1 2")
     with pytest.raises(TreeError):
         parse_tree_text("# nothing here")
+    # two labels that are never a child, then none: the root cannot be inferred
+    for text in ("0 1\n2 1", "0 1\n1 0"):
+        with pytest.raises(TreeError, match="exactly one label must never be a child"):
+            parse_tree_text(text)
 
 
 def test_node_numbers_are_ints_and_the_count_is_checked_first():
